@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import DegenerateSimplex, NotSimple, UnsupportedDimension
 from .geometry import EPS_GEOM, Ball, Cluster, circumball, is_discrete_polytope
@@ -181,78 +182,36 @@ def hardcore_property(r: float) -> ClusterProperty:
 # Delone simplices with capped circumradius
 
 
-def _pruned_index_subsets(eta: PointConfiguration, max_diameter: float, size: int) -> np.ndarray:
-    """Index rows of all `size`-subsets with pairwise distances at most
-    max_diameter * (1 + EPS_GEOM), generated via a uniform grid of cell
-    width max_diameter. Lossless for circumradius caps: a simplex with
-    circumradius <= R has diameter <= 2R."""
-    pts = eta.points
-    n = len(pts)
-    if n < size:
-        return np.empty((0, size), dtype=np.int64)
-    d = pts.shape[1]
-    limit = max_diameter * (1.0 + EPS_GEOM)
-    span = float(eta.window.diameter())
-    cell = min(max_diameter, span) if max_diameter > 0 else span
-    keys = np.floor((pts - np.asarray(eta.window.low)) / cell).astype(np.int64)
-    buckets: dict = {}
-    for i, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(i)
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
-    rows = []
-    for i in range(n):
-        key = tuple(keys[i])
-        partners = []
-        for off in offsets:
-            neigh = tuple(k + o for k, o in zip(key, off))
-            partners.extend(j for j in buckets.get(neigh, ()) if j > i)
-        if len(partners) < size - 1:
-            continue
-        partners.sort()
-        js = np.asarray(partners, dtype=np.int64)
-        js = js[np.linalg.norm(pts[js] - pts[i], axis=1) <= limit]
-        if len(js) < size - 1:
-            continue
-        if size == 2:
-            rows.append(np.column_stack([np.full(len(js), i, dtype=np.int64), js]))
-        elif size == 3:
-            local = pts[js]
-            diff = local[:, None, :] - local[None, :, :]
-            ok = np.linalg.norm(diff, axis=2) <= limit
-            a, b = np.nonzero(np.triu(ok, k=1))
-            if len(a):
-                rows.append(
-                    np.column_stack([np.full(len(a), i, dtype=np.int64), js[a], js[b]])
-                )
-        else:
-            for combo in itertools.combinations(js.tolist(), size - 1):
-                good = True
-                for a, b in itertools.combinations(combo, 2):
-                    if np.linalg.norm(pts[a] - pts[b]) > limit:
-                        good = False
-                        break
-                if good:
-                    rows.append(np.asarray([[i, *combo]], dtype=np.int64))
-    if not rows:
-        return np.empty((0, size), dtype=np.int64)
-    return np.concatenate(rows, axis=0)
-
-
 def _delone_candidate_rows(
     eta: PointConfiguration, radius_cap: float, open_ball_mode: bool, eps: float
 ) -> np.ndarray:
-    """Grid-pruned candidate subsets narrowed by vectorized circumradius
-    and punctured-ball filters.
+    """Index rows, each ascending, of the Delone candidates: the Delaunay
+    simplices (Qhull) whose circumradius fits under the cap. In d = 1
+    the Delaunay simplices are the adjacent pairs of the sorted points.
 
-    The filters mirror the scalar membership predicate (which still has
-    the final word on every survivor); they only avoid running it on
-    the bulk of hopeless candidates.
+    Closed-ball mode needs nothing more: a simplex whose closed
+    circumball holds no other point is a Delaunay simplex of every
+    triangulation, Qhull's included. Open-ball mode also admits the
+    other simplices of a cocircular group, which Qhull triangulates one
+    way only, so each simplex grows into every point within a few eps
+    of its circumsphere and all (d+1)-subsets of that group become
+    candidates. The scalar membership predicate has the final word on
+    every candidate.
     """
-    d = eta.dimension
-    idx = _pruned_index_subsets(eta, 2.0 * radius_cap, d + 1)
-    if len(idx) == 0:
-        return idx
     pts = eta.points
+    n, d = pts.shape
+    none = np.empty((0, d + 1), dtype=np.int64)
+    if n < d + 1:
+        return none
+    if d == 1:
+        idx = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    else:
+        try:
+            # centred input keeps Qhull's lifted coordinates small
+            idx = np.sort(Delaunay(pts - pts.mean(axis=0)).simplices, axis=1)
+        except QhullError:  # affinely degenerate input, e.g. all collinear
+            return none
+    idx = idx.astype(np.int64)
     simplices = pts[idx]  # (m, d+1, d)
     lhs = 2.0 * (simplices[:, 1:, :] - simplices[:, :1, :])
     rhs = (simplices[:, 1:, :] ** 2).sum(axis=2) - (simplices[:, :1, :] ** 2).sum(axis=2)
@@ -260,63 +219,21 @@ def _delone_candidate_rows(
     rowscale = np.abs(lhs).max(axis=(1, 2))
     solvable = np.abs(det) > (1e-13 * np.maximum(rowscale, 1e-30)) ** d
     idx = idx[solvable]
-    if len(idx) == 0:
-        return idx
     centers = np.linalg.solve(lhs[solvable], rhs[solvable][:, :, None])[:, :, 0]
     radii = np.linalg.norm(pts[idx] - centers[:, None, :], axis=2).max(axis=1)
-    good = np.isfinite(radii) & (radii <= radius_cap * (1.0 + eps))
+    # An admitted open-ball simplex S off Qhull's triangulation sits off
+    # the sphere of a simplex T of its group by up to eps * vol(S) / vol(T).
+    # In the plane one of the two triangles on a quadrilateral holds half
+    # its area, so 2 eps covers that case; 8 eps leaves room for larger
+    # groups and d = 3.
+    slack = 1.0 + (8.0 if open_ball_mode else 1.0) * eps
+    good = np.isfinite(radii) & (radii <= radius_cap * slack)
     idx, centers, radii = idx[good], centers[good], radii[good]
-    if len(idx) == 0:
+    if not open_ball_mode:
         return idx
-    # the punctured-ball test only involves points within the candidate
-    # radius of the center, so candidates are grouped by center grid
-    # cell and tested against the local point neighbourhood
-    keep = np.zeros(len(idx), dtype=bool)
-    low = np.asarray(eta.window.low)
-    cell = radius_cap
-    point_keys = np.floor((pts - low) / cell).astype(np.int64)
-    point_buckets: dict = {}
-    for j, key in enumerate(map(tuple, point_keys)):
-        point_buckets.setdefault(key, []).append(j)
-    center_keys = np.floor((centers - low) / cell).astype(np.int64)
-    order = np.lexsort(tuple(center_keys[:, k] for k in range(d - 1, -1, -1)))
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
-    start = 0
-    while start < len(order):
-        stop = start
-        key = tuple(center_keys[order[start]])
-        while stop < len(order) and tuple(center_keys[order[stop]]) == key:
-            stop += 1
-        group = order[start:stop]
-        local = []
-        for off in offsets:
-            local.extend(point_buckets.get(tuple(k + o for k, o in zip(key, off)), ()))
-        local_pts = pts[local]
-        c = centers[group]
-        # squared distances via |c - p|^2 = |c|^2 + |p|^2 - 2 c.p
-        sq = (
-            (c ** 2).sum(axis=1)[:, None]
-            + (local_pts ** 2).sum(axis=1)[None, :]
-            - 2.0 * (c @ local_pts.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        band = radii[group, None]
-        if open_ball_mode:
-            blocked = (sq < (band * (1.0 - eps)) ** 2).any(axis=1)
-        else:
-            # the d+1 vertices always register as hits; any further hit
-            # is a foreign point inside the closed ball
-            blocked = (sq <= (band * (1.0 + eps)) ** 2).sum(axis=1) > d + 1
-        keep[group] = ~blocked
-        start = stop
-    return idx[keep]
-
-
-def _grid_pruned_subsets(eta: PointConfiguration, max_diameter: float, size: int):
-    """Cluster view of the grid-pruned subsets (diameter filter only)."""
-    pts = eta.points
-    for row in _pruned_index_subsets(eta, max_diameter, size):
-        yield Cluster(tuple(pts[j]) for j in row)
+    groups = cKDTree(pts).query_ball_point(centers, radii * slack, return_sorted=True)
+    rows = {tuple(c) for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, d + 1)
 
 
 def delone_property(
@@ -329,6 +246,10 @@ def delone_property(
     circumball minus exactly the vertex set, so configuration points on
     the circumsphere block the cluster. `open_ball_mode` switches to the
     conventional open-ball Delaunay test.
+
+    Candidates are the Delaunay simplices of the configuration from
+    scipy's Qhull, filtered by the radius cap; in open-ball mode each
+    is grown into its cocircular group (see `_delone_candidate_rows`).
     """
     if radius_cap <= 0.0:
         raise ValueError(f"radius cap must be positive, got {radius_cap}")

@@ -1,9 +1,10 @@
 """Independent oracles used across the test modules.
 
 These deliberately avoid the production code paths they check:
-exhaustive enumeration instead of grid pruning, closed-form determinant
-circumcenters instead of the elimination solver, linear feasibility
-instead of Qhull, barycentric signs instead of halfspace tests.
+exhaustive enumeration instead of Qhull's Delaunay triangulation,
+closed-form determinant circumcenters instead of the elimination
+solver, linear feasibility instead of Qhull, barycentric signs instead
+of halfspace tests.
 """
 
 import itertools

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustertess import (
     Cluster,
@@ -13,6 +17,7 @@ from clustertess import (
     delone_property,
     extract_clusters,
     hardcore_property,
+    lattice_sites_in_window,
     mix_seed,
     sample_poisson_homogeneous,
     voronoi_cell_centers,
@@ -113,6 +118,83 @@ def test_delone_literal_vs_open_ball_on_cocircular_square():
     assert len(literal) == 0  # the fourth cocircular point sits on every circumsphere
     open_mode = extract_clusters(delone_property(1.0, open_ball_mode=True), eta)
     assert len(open_mode) == 4
+
+
+def assert_delone_matches_oracle(eta, caps):
+    """Extraction equals the exhaustive oracle for every cap, in both ball modes."""
+    for cap in caps:
+        for open_ball_mode in (False, True):
+            prop = delone_property(cap, open_ball_mode=open_ball_mode)
+            got = list(extract_clusters(prop, eta).clusters)
+            assert got == exhaustive_delone(eta, cap, open_ball_mode), (cap, open_ball_mode)
+
+
+def test_delone_open_ball_growth_on_silver_mean_patch():
+    # Qhull splits this 20-point lattice patch into 32 triangles; the
+    # further open-ball clusters exist only through cocircular growth
+    window = Window((0, 0), (7, 7))
+    eta = config([e.embed() for e in lattice_sites_in_window(window)], window)
+    assert eta.n_atoms == 20
+    for cap, n_open, n_closed in ((2.0, 40, 8), (10.0, 48, 16)):
+        assert len(extract_clusters(delone_property(cap, open_ball_mode=True), eta)) == n_open
+        assert len(extract_clusters(delone_property(cap), eta)) == n_closed
+    assert_delone_matches_oracle(eta, (2.0, 10.0))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.5,)],
+        [(0.2, 0.3), (0.7, 0.1)],
+        [(0.1, 0.2, 0.3), (0.9, 0.1, 0.5), (0.4, 0.8, 0.2)],
+        # all four sites lie on the diagonal, which Qhull rejects as flat
+        [e.embed() for e in lattice_sites_in_window(Window((0, 0), (3, 3)))],
+    ],
+)
+def test_delone_degenerate_inputs_yield_nothing(points):
+    d = len(points[0])
+    eta = config(points, Window((0.0,) * d, (3.0,) * d))
+    assert_delone_matches_oracle(eta, (10.0,))
+    # the open-ball oracle admits a superset of the closed-ball one
+    assert exhaustive_delone(eta, 10.0, open_ball_mode=True) == []
+
+
+def test_delone_matches_exhaustive_in_d1():
+    window = Window((0.0,), (1.0,))
+    for rep in range(40):
+        eta = sample_poisson_homogeneous(8.0, window, mix_seed(131, rep))
+        assert_delone_matches_oracle(eta, (0.05, 0.2, 2.0))
+    # a regular grid: every gap is equal
+    assert_delone_matches_oracle(config([(k / 8.0,) for k in range(9)], window), (0.0625, 1.0))
+
+
+def test_delone_matches_exhaustive_in_d3():
+    window = Window((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    checked = 0
+    for rep in range(60):
+        eta = sample_poisson_homogeneous(8.0, window, mix_seed(141, rep))
+        if eta.n_atoms > 10:
+            continue
+        checked += 1
+        assert_delone_matches_oracle(eta, (0.3, 0.6, 2.0))
+    assert checked >= 30
+    # the cube corners are cospherical; the centre breaks the sphere up
+    corners = list(itertools.product((0.0, 1.0), repeat=3))
+    assert_delone_matches_oracle(config(corners, window), (1.0,))
+    assert_delone_matches_oracle(config(corners + [(0.5, 0.5, 0.5)], window), (1.0,))
+
+
+# coordinates snapped to a coarse grid make cocircular quadruples common
+COORDINATE = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 4.0))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    points=st.lists(st.tuples(COORDINATE, COORDINATE), max_size=12, unique=True),
+    cap=st.sampled_from((0.3, 0.8, 2.0)),
+)
+def test_delone_differential_against_exhaustive(points, cap):
+    assert_delone_matches_oracle(config(points, Window((0.0, 0.0), (1.0, 1.0))), (cap,))
 
 
 def test_delone_post_hoc_recheck():
