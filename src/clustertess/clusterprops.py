@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
@@ -197,6 +196,10 @@ def _delone_candidate_rows(
     of its circumsphere and all (d+1)-subsets of that group become
     candidates. The scalar membership predicate has the final word on
     every candidate.
+
+    Qhull resolves points only to about 1e-13 of the extent, so every
+    (d+1)-subset within two cap radii of a point that has a neighbour
+    within 1e-10 of the extent is a candidate too, unfiltered.
     """
     pts = eta.points
     n, d = pts.shape
@@ -210,14 +213,14 @@ def _delone_candidate_rows(
             # centred input keeps Qhull's lifted coordinates small
             idx = np.sort(Delaunay(pts - pts.mean(axis=0)).simplices, axis=1)
         except QhullError:  # affinely degenerate input, e.g. all collinear
-            return none
+            idx = none
     idx = idx.astype(np.int64)
     simplices = pts[idx]  # (m, d+1, d)
     lhs = 2.0 * (simplices[:, 1:, :] - simplices[:, :1, :])
     rhs = (simplices[:, 1:, :] ** 2).sum(axis=2) - (simplices[:, :1, :] ** 2).sum(axis=2)
-    det = np.linalg.det(lhs)
+    # row-scaled, so a tiny but well-shaped simplex passes like a unit one
     rowscale = np.abs(lhs).max(axis=(1, 2))
-    solvable = np.abs(det) > (1e-13 * np.maximum(rowscale, 1e-30)) ** d
+    solvable = np.abs(np.linalg.det(lhs / rowscale[:, None, None])) > 1e-13**d
     idx = idx[solvable]
     centers = np.linalg.solve(lhs[solvable], rhs[solvable][:, :, None])[:, :, 0]
     radii = np.linalg.norm(pts[idx] - centers[:, None, :], axis=2).max(axis=1)
@@ -229,11 +232,15 @@ def _delone_candidate_rows(
     slack = 1.0 + (8.0 if open_ball_mode else 1.0) * eps
     good = np.isfinite(radii) & (radii <= radius_cap * slack)
     idx, centers, radii = idx[good], centers[good], radii[good]
-    if not open_ball_mode:
-        return idx
-    groups = cKDTree(pts).query_ball_point(centers, radii * slack, return_sorted=True)
-    rows = {tuple(c) for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
-    return np.array(sorted(rows), dtype=np.int64).reshape(-1, d + 1)
+    tree = cKDTree(pts)
+    if open_ball_mode:
+        groups = tree.query_ball_point(centers, radii * slack, return_sorted=True)
+        rows = {tuple(c) for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
+        idx = np.array(sorted(rows), dtype=np.int64).reshape(-1, d + 1)
+    crowded = np.unique(tree.query_pairs(1e-10 * np.ptp(pts, axis=0).max(), output_type="ndarray"))
+    near = tree.query_ball_point(pts[crowded], 2.0 * radius_cap * slack)
+    extra = {c for i, g in zip(crowded, near) for c in itertools.combinations(sorted(g), d + 1) if i in c}
+    return np.concatenate([idx, np.array(sorted(extra), dtype=np.int64).reshape(-1, d + 1)])
 
 
 def delone_property(
@@ -316,7 +323,6 @@ def _punctured_ball_hit(
 # Voronoi cell vertex sets (d = 2), by duality with empty circumballs
 
 
-@lru_cache(maxsize=4)
 def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool, eps: float):
     """Bounded Voronoi cells of a planar configuration, by duality.
 
@@ -394,21 +400,29 @@ def voronoi_property(
     cell is boundary-certain when, for every vertex, the ball around it
     reaching back to the center fits inside the window; only then is no
     unseen outside point able to displace that vertex.
+
+    The property keeps the cells of the one configuration it was last
+    asked about, matched by identity; nothing outlives the property.
     """
     if window.dimension != 2:
         raise UnsupportedDimension("the Voronoi property is implemented for d = 2 only")
     cap = 2.0 * window.diameter()
+    last_eta, last_cells = None, {}
+
+    def cells_of(eta: PointConfiguration) -> dict:
+        nonlocal last_eta, last_cells
+        if eta is not last_eta:
+            last_eta, last_cells = eta, _voronoi_cells(eta, cap, open_ball_mode, eps)
+        return last_cells
 
     def enumerate_candidates(eta: PointConfiguration):
-        return list(_voronoi_cells(eta, cap, open_ball_mode, eps).keys())
+        return list(cells_of(eta).keys())
 
     def membership(cluster: Cluster, eta: PointConfiguration) -> bool:
-        if cluster not in _voronoi_cells(eta, cap, open_ball_mode, eps):
-            return False
-        return is_discrete_polytope(cluster, eps)
+        return cluster in cells_of(eta) and is_discrete_polytope(cluster, eps)
 
     def boundary_uncertain(cluster: Cluster, eta: PointConfiguration) -> bool:
-        return not _voronoi_cells(eta, cap, open_ball_mode, eps)[cluster][1]
+        return not cells_of(eta)[cluster][1]
 
     return ClusterProperty(
         name="voronoi",

@@ -3,8 +3,8 @@
 A cluster is a finite set of distinct points in R^d, standing in for the
 vertex set of a convex polytope. This module supplies the exact-enough
 kernels everything else is built on: circumballs of simplices,
-extreme-point tests, convex hulls (d <= 3), ball membership with an
-explicit tolerance policy, and the pairwise face-to-face test.
+convex hulls and extreme points (Qhull, d <= 3), ball membership with
+an explicit tolerance policy, and the pairwise face-to-face test.
 
 All predicates share one relative tolerance (EPS_GEOM by default).
 Cocircular and other borderline situations surface as an explicit
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Tuple
@@ -125,7 +126,8 @@ def circumball(simplex: Cluster, eps: float = EPS_GEOM) -> Ball:
     Solves the pairwise-equidistance system 2(v_i - v_0) . x =
     |v_i|^2 - |v_0|^2 by Gaussian elimination with partial pivoting.
     A pivot below eps times the matrix scale means the vertices are
-    affinely dependent and DegenerateSimplex is raised.
+    affinely dependent and DegenerateSimplex is raised; so does a
+    subnormal pivot, whose reciprocal would overflow.
     """
     pts = simplex.points
     d = simplex.dimension
@@ -146,13 +148,12 @@ def circumball(simplex: Cluster, eps: float = EPS_GEOM) -> Ball:
         raise DegenerateSimplex("simplex vertices coincide")
 
     # elimination with partial pivoting, in place
+    tol = max(eps * scale, sys.float_info.min)
     for col in range(d):
         pivot_row = max(range(col, d), key=lambda r: abs(rows[r][col]))
         pivot = rows[pivot_row][col]
-        if abs(pivot) <= eps * scale:
-            raise DegenerateSimplex(
-                f"affinely dependent vertices (pivot {pivot:.3e} below {eps:.1e} * {scale:.3e})"
-            )
+        if abs(pivot) <= tol:
+            raise DegenerateSimplex(f"affinely dependent vertices (pivot {pivot:.3e} at most {tol:.3e})")
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
@@ -205,36 +206,11 @@ def is_full_simplex(cluster: Cluster, eps: float = EPS_GEOM) -> bool:
     return True
 
 
-def _is_extreme(point: np.ndarray, others: np.ndarray) -> bool:
-    # p is extreme iff p is not a convex combination of the other points,
-    # i.e. the feasibility LP  sum w_i x_i = p, sum w_i = 1, w >= 0  has
-    # no solution.
-    from scipy.optimize import linprog
-
-    n = others.shape[0]
-    if n == 0:
-        return True
-    a_eq = np.vstack([others.T, np.ones(n)])
-    b_eq = np.concatenate([point, [1.0]])
-    res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    return not res.success
-
-
 def is_discrete_polytope(cluster: Cluster, eps: float = EPS_GEOM) -> bool:
-    """True iff every point of the cluster is an extreme point of its hull.
-
-    Uses a linear-feasibility test per point, so it works in any
-    dimension. `eps` is accepted for interface symmetry; the LP solver
-    brings its own feasibility tolerance.
-    """
-    pts = cluster.as_array()
-    if len(pts) == 1:
-        return True
-    for i in range(len(pts)):
-        others = np.delete(pts, i, axis=0)
-        if not _is_extreme(pts[i], others):
-            return False
-    return True
+    """True iff every point of the cluster is an extreme point of its
+    hull, for d <= 3 (UnsupportedDimension above). Counts the vertices
+    `convex_hull_vertices` keeps, so `eps` is its rank tolerance."""
+    return len(convex_hull_vertices(cluster, eps)) == len(cluster)
 
 
 def convex_hull_vertices(cluster: Cluster, eps: float = EPS_GEOM) -> Cluster:

@@ -107,9 +107,30 @@ def make_record(
     return record
 
 
+# the JSON types each record field may take
+_FIELD_TYPES = {
+    "replication": (int,), "window": (dict,), "points": (list,),
+    "multiplicities": (list, type(None)), "clusters": (list, type(None)), "report": (dict, type(None)),
+}
+
+
+def _check_shape(record) -> None:
+    """Raise ValueError naming the first field of a parsed record whose
+    JSON type `record_to_objects` cannot take."""
+    if type(record) is not dict:
+        raise ValueError(f"a record must be a JSON object, got {json.dumps(record)[:40]}")
+    for field, types in _FIELD_TYPES.items():
+        if type(record.get(field)) not in types:
+            raise ValueError(f"record field {field!r} cannot be {json.dumps(record.get(field))[:40]}")
+    for k, entry in enumerate(record.get("clusters") or ()):
+        if type(entry) is not dict:
+            raise ValueError(f"record field 'clusters[{k}]' must be a JSON object, got {json.dumps(entry)[:40]}")
+
+
 def record_to_objects(
     record: dict,
 ) -> Tuple[PointConfiguration, Optional[ClusterConfiguration], Optional[TessellationReport]]:
+    _check_shape(record)
     window = window_from_dict(record["window"])
     eta = PointConfiguration(record["points"], record["multiplicities"], window)
     clusters = None

@@ -13,8 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NonSimplicialInput, UnsupportedDimension
-from .geometry import EPS_GEOM, Cluster, FaceRelation, common_face_check, is_full_simplex
+from .errors import DegenerateSimplex, NonSimplicialInput, UnsupportedDimension
+from .geometry import EPS_GEOM, Cluster, FaceRelation, _facet_halfspaces, common_face_check, is_full_simplex
 from .clusterprops import ClusterConfiguration
 from .pointproc import Window
 from .randomness import make_rng
@@ -115,17 +115,12 @@ def hull_contains_points(
     if d == 3:
         if len(pts) != 4:
             raise UnsupportedDimension("3D hull membership is implemented for simplices only")
+        try:
+            halfspaces = _facet_halfspaces(cluster.points, eps)
+        except DegenerateSimplex:
+            return np.zeros(len(q), dtype=bool)  # flat simplex, measure-zero hull
         inside = np.ones(len(q), dtype=bool)
-        for omit in range(4):
-            facet = np.delete(pts, omit, axis=0)
-            normal = np.cross(facet[1] - facet[0], facet[2] - facet[0])
-            nn = float(np.linalg.norm(normal))
-            if nn == 0.0:
-                return np.zeros(len(q), dtype=bool)
-            normal = normal / nn
-            offset = float(normal @ facet[0])
-            if float(normal @ pts[omit]) > offset:
-                normal, offset = -normal, -offset
+        for normal, offset in halfspaces:
             inside &= q @ normal <= offset + tol
         return inside
     raise UnsupportedDimension(f"hull membership not implemented for d = {d}")

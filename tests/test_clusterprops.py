@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustertess import (
@@ -193,6 +193,9 @@ COORDINATE = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 
     points=st.lists(st.tuples(COORDINATE, COORDINATE), max_size=12, unique=True),
     cap=st.sampled_from((0.3, 0.8, 2.0)),
 )
+# a well-shaped triangle far below unit scale, alone and next to a unit-scale point
+@example(points=[(0, 0), (0, 1.1996980966642533e-54), (1.1996980966642533e-54, 0)], cap=0.3)
+@example(points=[(0, 0), (0, 1), (0, 1.175494351e-38), (1.1754943508222875e-38, 0)], cap=0.3)
 def test_delone_differential_against_exhaustive(points, cap):
     assert_delone_matches_oracle(config(points, Window((0.0, 0.0), (1.0, 1.0))), (cap,))
 
@@ -339,6 +342,17 @@ def test_voronoi_delone_duality():
             ball = circumball(t)
             dists = np.linalg.norm(eta.points - np.asarray(ball.center), axis=1)
             assert np.all(dists >= ball.radius * (1 - 1e-9))
+
+
+def test_voronoi_property_follows_the_configuration_it_is_asked_about():
+    window = Window((0.0, 0.0), (1.0, 1.0))
+    a = sample_poisson_homogeneous(30.0, window, 61)
+    b = sample_poisson_homogeneous(30.0, window, 62)
+    prop = voronoi_property(window)
+    fresh_a, fresh_b = (extract_clusters(voronoi_property(window), eta) for eta in (a, b))
+    assert fresh_a.clusters != fresh_b.clusters
+    for eta, fresh in ((a, fresh_a), (b, fresh_b), (a, fresh_a)):
+        assert extract_clusters(prop, eta) == fresh
 
 
 def test_voronoi_rejects_other_dimensions():

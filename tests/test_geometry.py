@@ -1,19 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clustertess import (
     Ball,
     Cluster,
     DegenerateSimplex,
     UnsupportedDimension,
+    Window,
     ball_contains,
     circumball,
     common_face_check,
     convex_hull_vertices,
     is_discrete_polytope,
     is_full_simplex,
+    lattice_sites_in_window,
     make_rng,
 )
 from clustertess.geometry import BallSide, FaceRelation
@@ -49,6 +54,8 @@ def test_circumball_degenerate_raises():
         circumball(Cluster([(0, 0), (1, 0), (2, 0)]))
     with pytest.raises(DegenerateSimplex):
         circumball(Cluster([(0, 0), (1, 1)]))  # wrong cardinality for d=2
+    with pytest.raises(DegenerateSimplex):  # subnormal pivot: no finite reciprocal
+        circumball(Cluster([(0, 0), (0, 5e-324), (2.225073858507e-311, 0)]))
 
 
 def test_circumball_permutation_order_independence():
@@ -95,6 +102,43 @@ def test_is_discrete_polytope_examples():
     assert is_discrete_polytope(Cluster([(0.25, 0.25)]))
 
 
+# Quarter-grid coordinates put points exactly on hull edges and facets.
+COORDINATE = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 4.0))
+SILVER_PATCH = [e.embed() for e in lattice_sites_in_window(Window((0, 0), (7, 7)))]
+POLYTOPE_INPUTS = st.one_of(
+    *(st.lists(st.tuples(*[COORDINATE] * d), min_size=1, max_size=8, unique=True) for d in (1, 2, 3)),
+    st.lists(st.sampled_from(SILVER_PATCH), min_size=1, max_size=10, unique=True),
+)
+
+
+def _within_lp_tolerance(points, on_span=1e-14, lp_band=1e-6):
+    """True when a point lies near, but not on, the affine span of one to
+    d of the others. The LP oracle calls a point inside anything it is
+    within 1e-7 of, the hull only what it lies on up to rounding, so
+    there the two verdicts may legitimately differ. A single other point
+    spans nothing a distinct point can lie on."""
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    for k in range(1, d + 1):  # near pairs first: they make spans ill-conditioned
+        for i in range(n):
+            for combo in itertools.combinations(np.delete(pts, i, axis=0), k):
+                offset = pts[i] - combo[0]
+                if k > 1:
+                    span = (np.asarray(combo[1:]) - combo[0]).T
+                    offset = offset - span @ np.linalg.lstsq(span, offset, rcond=None)[0]
+                dist = float(np.linalg.norm(offset))
+                if dist < lp_band and (k == 1 or dist > on_span):
+                    return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=POLYTOPE_INPUTS)
+def test_is_discrete_polytope_matches_lp_oracle(points):
+    assume(not _within_lp_tolerance(points))
+    assert is_discrete_polytope(Cluster(points)) == (len(lp_extreme_points(points)) == len(points))
+
+
 def test_convex_hull_trivial_examples():
     square_plus_center = Cluster([(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)])
     hull = convex_hull_vertices(square_plus_center)
@@ -131,6 +175,8 @@ def test_convex_hull_idempotent_and_polytope():
 def test_convex_hull_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         convex_hull_vertices(Cluster([(0, 0, 0, 0), (1, 0, 0, 0)]))
+    with pytest.raises(UnsupportedDimension):
+        is_discrete_polytope(Cluster([(0, 0, 0, 0), (1, 0, 0, 0)]))
 
 
 def test_ball_contains_trichotomy():

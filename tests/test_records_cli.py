@@ -131,7 +131,7 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # config errors
     assert run_cli("sample", "--process", "nonsense", "--window", "0,0,1,1") == 1
     assert run_cli("sample", "--process", "poisson", "--window", "0,0,1,1") == 1  # missing lambda
@@ -141,6 +141,26 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.ndjson"
     bad.write_text('{"replication": 0}\n')
     assert run_cli("tessellate", "--in", str(bad), "--property", "delone", "--radius-cap", "1") == 2
+    # runtime error: records of the wrong shape, one error line naming the field
+    good = tmp_path / "good.ndjson"
+    run_cli("sample", "--process", "poisson", "--lambda", "10", "--window", "0,0,1,1", "--out", str(good))
+    record = parse_records(good.read_text())[0]
+    triangle = {"points": [[0.1, 0.1], [0.5, 0.1], [0.1, 0.5]], "boundary_uncertain": False}
+    malformed = {
+        "[1, 2]": "object",
+        "5": "object",
+        json.dumps({**record, "clusters": [triangle, 7]}): "clusters[1]",
+        json.dumps({**record, "replication": None}): "replication",
+    }
+    commands = (("tessellate", "--property", "delone", "--radius-cap", "1"), ("validate",), ("render",))
+    capsys.readouterr()
+    for text, named in malformed.items():
+        bad.write_text(text + "\n")
+        for argv in commands:
+            assert run_cli(*argv, "--in", str(bad), "--out", str(tmp_path / "out")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("clustertess: error:") and err.count("\n") == 1
+            assert named in err
 
 
 def test_cli_validate_flags_improper_records(tmp_path):
