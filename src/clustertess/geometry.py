@@ -26,6 +26,9 @@ from .errors import DegenerateSimplex, UnsupportedDimension
 
 # shared relative tolerance of all geometric predicates
 EPS_GEOM = 1e-9
+# d unit facet normals whose determinant is below this meet in no
+# vertex of `_intersection_vertices`
+SINGULAR_DET = 1e-9
 
 PointLike = Sequence[float]
 
@@ -232,7 +235,7 @@ def convex_hull_vertices(cluster: Cluster, eps: float = EPS_GEOM) -> Cluster:
     centered = pts - centroid
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     top = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > eps * max(top, 1.0)))
+    rank = int(np.sum(svals > eps * top))
 
     if rank == 0:
         # distinct points cannot all coincide; defensive only
@@ -288,7 +291,7 @@ def _intersection_vertices(hs, d: int, atol: float) -> list:
         if d == 1:
             x = np.array([b[0] / a[0][0]])
         else:
-            if abs(np.linalg.det(a)) < 1e-9:
+            if abs(np.linalg.det(a)) < SINGULAR_DET:
                 continue
             x = np.linalg.solve(a, b)
         if np.all(normals @ x <= offsets + atol):

@@ -114,14 +114,30 @@ _FIELD_TYPES = {
 }
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_coordinate_list(value) -> bool:
+    return type(value) is list and all(map(_is_number, value))
+
+
+# the JSON content each window field may hold
+_WINDOW_FIELDS = {"low": _is_coordinate_list, "high": _is_coordinate_list, "buffer_margin": _is_number}
+
+
 def _check_shape(record) -> None:
     """Raise ValueError naming the first field of a parsed record whose
-    JSON type `record_to_objects` cannot take."""
+    JSON type `record_to_objects` cannot take, window content included."""
     if type(record) is not dict:
         raise ValueError(f"a record must be a JSON object, got {json.dumps(record)[:40]}")
     for field, types in _FIELD_TYPES.items():
         if type(record.get(field)) not in types:
             raise ValueError(f"record field {field!r} cannot be {json.dumps(record.get(field))[:40]}")
+    for key, valid in _WINDOW_FIELDS.items():
+        value = record["window"].get(key)
+        if not valid(value):
+            raise ValueError(f"record field 'window.{key}' cannot be {json.dumps(value)[:40]}")
     for k, entry in enumerate(record.get("clusters") or ()):
         if type(entry) is not dict:
             raise ValueError(f"record field 'clusters[{k}]' must be a JSON object, got {json.dumps(entry)[:40]}")

@@ -4,7 +4,8 @@ These deliberately avoid the production code paths they check:
 exhaustive enumeration instead of Qhull's Delaunay triangulation,
 closed-form determinant circumcenters instead of the elimination
 solver, linear feasibility instead of Qhull, barycentric signs instead
-of halfspace tests.
+of halfspace tests, the scalar face test on every pair instead of the
+batched face-to-face validator.
 """
 
 import itertools
@@ -12,8 +13,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from clustertess import Cluster, DegenerateSimplex, ball_contains, circumball
-from clustertess.geometry import BallSide
+from clustertess import Cluster, DegenerateSimplex, ball_contains, circumball, common_face_check
+from clustertess.geometry import BallSide, FaceRelation
 
 
 def exhaustive_delone(eta, radius_cap, open_ball_mode=False):
@@ -49,6 +50,16 @@ def exhaustive_delone(eta, radius_cap, open_ball_mode=False):
         if not blocked:
             out.append(cluster)
     return sorted(out)
+
+
+def face_to_face_violations_all_pairs(cfg):
+    """Improper pairs (i, j), i < j, ascending: `common_face_check` on
+    every pair of clusters, with no box pruning and no batched test."""
+    return tuple(
+        (i, j)
+        for i, j in itertools.combinations(range(len(cfg.clusters)), 2)
+        if common_face_check(cfg.clusters[i], cfg.clusters[j]) is FaceRelation.IMPROPER
+    )
 
 
 def circumcenter_determinant(a, b, c):

@@ -102,6 +102,16 @@ def test_is_discrete_polytope_examples():
     assert is_discrete_polytope(Cluster([(0.25, 0.25)]))
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-5, 1.0, 1e5, 1e10])
+def test_is_discrete_polytope_scale_free(scale):
+    # the hull's rank test is relative to the largest singular value, so
+    # a well-shaped simplex keeps all its vertices at every scale
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    tetrahedron = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for simplex in (triangle, tetrahedron):
+        assert is_discrete_polytope(Cluster(np.asarray(simplex) * scale))
+
+
 # Quarter-grid coordinates put points exactly on hull edges and facets.
 COORDINATE = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 4.0))
 SILVER_PATCH = [e.embed() for e in lattice_sites_in_window(Window((0, 0), (7, 7)))]

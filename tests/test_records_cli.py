@@ -151,6 +151,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "5": "object",
         json.dumps({**record, "clusters": [triangle, 7]}): "clusters[1]",
         json.dumps({**record, "replication": None}): "replication",
+        json.dumps({**record, "window": {**record["window"], "low": 5}}): "window.low",
+        json.dumps({**record, "window": {**record["window"], "buffer_margin": [1]}}): "window.buffer_margin",
     }
     commands = (("tessellate", "--property", "delone", "--radius-cap", "1"), ("validate",), ("render",))
     capsys.readouterr()

@@ -1,11 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from clustertess import (
     Cluster,
     ClusterConfiguration,
+    DegenerateSimplex,
     NonSimplicialInput,
+    PointConfiguration,
     Window,
     build_report,
     check_face_to_face,
@@ -14,6 +20,8 @@ from clustertess import (
     delone_property,
     extract_clusters,
     hull_contains_points,
+    is_full_simplex,
+    lattice_sites_in_window,
     make_rng,
     mix_seed,
     sample_poisson_homogeneous,
@@ -21,9 +29,17 @@ from clustertess import (
     voronoi_property,
 )
 
-from helpers import barycentric_inside
+from helpers import barycentric_inside, face_to_face_violations_all_pairs
 
 UNIT = Window((0.0, 0.0), (1.0, 1.0))
+
+
+def silver_mean_patch_clusters(open_ball_mode):
+    # the 20-site lattice patch: cocircular squares make open-ball mode
+    # admit overlapping triangles
+    window = Window((0, 0), (7, 7))
+    eta = PointConfiguration([e.embed() for e in lattice_sites_in_window(window)], None, window)
+    return extract_clusters(delone_property(2.0, open_ball_mode=open_ball_mode), eta)
 
 
 def test_simplicial_checks():
@@ -69,15 +85,79 @@ def test_face_to_face_requires_simplices():
 
 
 def test_face_to_face_order_invariant():
-    eta = sample_poisson_homogeneous(40.0, UNIT, 17)
-    cfg = extract_clusters(delone_property(0.35), eta)
+    cfg = silver_mean_patch_clusters(open_ball_mode=True)
+    last = len(cfg.clusters) - 1
     reversed_cfg = ClusterConfiguration(
-        list(reversed(cfg.clusters)), list(reversed(cfg.boundary_uncertain)), UNIT
+        list(reversed(cfg.clusters)), list(reversed(cfg.boundary_uncertain)), cfg.source_window
     )
     a = check_face_to_face(cfg)
     b = check_face_to_face(reversed_cfg)
+    assert a.violations
     assert a.face_to_face == b.face_to_face
-    assert len(a.violations) == len(b.violations)
+    mapped = sorted((last - j, last - i) for i, j in b.violations)
+    assert tuple(mapped) == a.violations
+
+
+def test_face_to_face_silver_mean_patch():
+    # open-ball mode admits both diagonals of each cocircular square
+    for open_ball_mode, n_clusters, n_violations in ((True, 40, 32), (False, 8, 0)):
+        cfg = silver_mean_patch_clusters(open_ball_mode)
+        assert len(cfg.clusters) == n_clusters
+        violations = check_face_to_face(cfg).violations
+        assert len(violations) == n_violations
+        assert violations == face_to_face_violations_all_pairs(cfg)
+
+
+@st.composite
+def simplex_configurations(draw):
+    """Random subsets of the full simplices on a small point pool, in
+    d = 1, 2, 3. Most coordinates sit on a quarter grid, so shared
+    vertices, collinear or coplanar edges and touching simplices occur;
+    some sit just off it, inside or near the tolerance band."""
+    d = draw(st.integers(1, 3), label="d")
+    grid = st.integers(0, 8).map(lambda k: k / 4)
+    coordinate = st.one_of(
+        grid,
+        st.builds(lambda c, shift: c + shift, grid, st.sampled_from([-1e-7, -1e-9, 1e-9, 1e-7])),
+        st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    pool = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=7, unique=True))
+    simplices = [Cluster(c) for c in itertools.combinations(pool, d + 1)]
+    simplices = [c for c in simplices if is_full_simplex(c)]
+    assume(simplices)
+    chosen = draw(st.lists(st.sampled_from(simplices), max_size=10, unique=True))
+    return ClusterConfiguration(chosen, [False] * len(chosen), Window((0.0,) * d, (2.0,) * d))
+
+
+def pair(a, b):
+    d = len(a[0])
+    return ClusterConfiguration([Cluster(a), Cluster(b)], [False, False], Window((-3.0,) * d, (3.0,) * d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=simplex_configurations())
+# disjoint tetrahedra that only the cross product of two edges separates
+@example(
+    cfg=pair(
+        [(-0.5, 0.5, 0), (0.5, -0.5, 0), (-0.5, -0.5, -2), (-1.5, -1.5, 0)],
+        [(0.1, -0.4, 0.6), (0.1, 0.6, -0.4), (0.1, 1.6, 1.6), (2.1, 0.6, 0.6)],
+    )
+)
+# a vertex 1.4e-9 off the other triangle's edge: improper within atol
+@example(cfg=pair([(0, 0), (1, 0), (0, 1)], [(0.5 + 1e-9, 0.5 + 1e-9), (1, 1), (1, 0.6)]))
+# distinct vertices whose distance underflows to 0
+@example(cfg=pair([(0.0,), (0.013,)], [(0.0,), (1.7e-234,)]))
+def test_face_to_face_matches_all_pairs_oracle(cfg):
+    # where the scalar test rejects a facet the circumball accepted, both
+    # routes must raise
+    def outcome(validate):
+        try:
+            return validate(cfg)
+        except DegenerateSimplex:
+            return DegenerateSimplex
+
+    got = outcome(lambda c: check_face_to_face(c).violations)
+    assert got == outcome(face_to_face_violations_all_pairs), [c.points for c in cfg.clusters]
 
 
 def test_covered_fraction_full_and_empty():
