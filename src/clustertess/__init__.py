@@ -38,9 +38,7 @@ from .pointproc import (
     Window,
     barycentre_shift,
     deterministic_lattice,
-    empty_process,
     min_pairwise_distance,
-    replicate,
     sample_poisson_discrete,
     sample_poisson_homogeneous,
     support,
@@ -91,7 +89,7 @@ from .stats import (
     poisson_count_test,
     tile_length_histogram,
 )
-from .randomness import INVERSION_CUTOFF, make_rng, mix_seed, poisson_count, splitmix64
+from .randomness import INVERSION_CUTOFF, make_rng, mix_seed, poisson_count, poisson_counts, splitmix64
 
 __version__ = "0.1.0"
 

@@ -216,10 +216,12 @@ def decompose_length(
     when the tolerance admits more than one (tol too large for n_max).
     """
     hits = []
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
+    for m in range(n_max + 1):
+        rest = length - m * SQRT2  # only n within tol of it, +-1 for rounding, can match
+        for n in range(max(0, math.floor(rest - tol) - 1), min(n_max, math.ceil(rest + tol) + 1) + 1):
             if abs(length - (n + m * SQRT2)) <= tol:
                 hits.append((n, m))
+    hits.sort()
     if not hits:
         return None
     if len(hits) > 1:

@@ -99,11 +99,10 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed or open ball; circumballs are closed."""
+    """Closed ball; where an open ball is meant, callers test strictly."""
 
     center: Tuple[float, ...]
     radius: float
-    boundary_included: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -178,7 +177,7 @@ def circumball(simplex: Cluster, eps: float = EPS_GEOM) -> Ball:
     radius = max(
         math.sqrt(sum((p[j] - center[j]) ** 2 for j in range(d))) for p in pts
     )
-    return Ball(tuple(center), radius, boundary_included=True)
+    return Ball(tuple(center), radius)
 
 
 def ball_contains(ball: Ball, point: PointLike, eps: float = EPS_GEOM) -> BallSide:

@@ -15,10 +15,9 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .errors import BallsOverlap, TooFewPoints
-from .randomness import make_rng, mix_seed, poisson_count
+from .randomness import make_rng, poisson_count, poisson_counts
 
 Seed = int
 
@@ -41,21 +40,27 @@ class Window:
         object.__setattr__(self, "high", tuple(float(c) for c in self.high))
         if len(self.low) != len(self.high) or not self.low:
             raise ValueError("window corners must share a positive dimension")
-        extents = [h - l for l, h in zip(self.low, self.high)]
-        if min(extents) <= 0.0:
+        low, high = np.array(self.low), np.array(self.high)
+        extent = high - low
+        if extent.min() <= 0.0:
             raise ValueError(f"window must satisfy low < high, got {self.low} .. {self.high}")
-        if self.buffer_margin < 0.0 or 2.0 * self.buffer_margin >= min(extents):
+        if self.buffer_margin < 0.0 or 2.0 * self.buffer_margin >= extent.min():
             raise ValueError("buffer margin must be nonnegative and below half the smallest extent")
+        # derived once; plain attributes, so not part of eq, hash or repr
+        for name, arr in (("_low", low), ("_high", high), ("_extent", extent)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_volume", float(np.prod(extent)))
 
     @property
     def dimension(self) -> int:
         return len(self.low)
 
     def extent(self) -> np.ndarray:
-        return np.asarray(self.high) - np.asarray(self.low)
+        return self._extent
 
     def volume(self) -> float:
-        return float(np.prod(self.extent()))
+        return self._volume
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.extent()))
@@ -68,9 +73,7 @@ class Window:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        low = np.asarray(self.low)
-        high = np.asarray(self.high)
-        return np.all((pts >= low) & (pts <= high), axis=1)
+        return ((pts >= self._low) & (pts <= self._high)).all(axis=1)
 
     def contains_ball(self, center: Sequence[float], radius: float) -> bool:
         return all(
@@ -110,16 +113,18 @@ class PointConfiguration:
             mult = np.ones(len(pts), dtype=np.int64)
         else:
             mult = np.asarray(multiplicities, dtype=np.int64)
-        if mult.shape != (len(pts),) or (len(mult) and mult.min() < 1):
-            raise ValueError("multiplicities must be positive, one per point")
-        if len(pts) and not np.all(window.contains(pts)):
+            if mult.shape != (len(pts),) or (len(mult) and mult.min() < 1):
+                raise ValueError("multiplicities must be positive, one per point")
+        if len(pts) and not ((pts >= window._low) & (pts <= window._high)).all():
             raise ValueError("all points must lie inside the window")
-        if len(pts):
-            order = np.lexsort(tuple(pts[:, j] for j in range(pts.shape[1] - 1, -1, -1)))
+        if len(pts) > 1:
+            order = np.lexsort(pts.T[::-1])
             pts = pts[order]
             mult = mult[order]
-            if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
+            if (pts[1:] == pts[:-1]).all(axis=1).any():
                 raise ValueError("points must be pairwise distinct")
+        else:  # copies, so that freezing them leaves the caller's arrays writable
+            pts, mult = pts.copy(), mult.copy()
         pts.setflags(write=False)
         mult.setflags(write=False)
         self.points = pts
@@ -200,7 +205,7 @@ def sample_poisson_homogeneous(lam: float, window: Window, seed: Seed) -> PointC
         raise ValueError(f"intensity must be positive, got {lam}")
     rng = make_rng(seed)
     n = poisson_count(rng, lam * window.volume())
-    coords = np.asarray(window.low) + rng.random((n, window.dimension)) * window.extent()
+    coords = window._low + rng.random((n, window.dimension)) * window._extent
     return PointConfiguration(coords, None, window)
 
 
@@ -213,7 +218,7 @@ def sample_poisson_discrete(
     if window is None:
         window = _bounding_window(sites)
     rng = make_rng(seed)
-    counts = np.array([poisson_count(rng, rho.c) for _ in range(len(sites))], dtype=np.int64)
+    counts = poisson_counts(rng, rho.c, len(sites))
     keep = counts > 0
     return PointConfiguration(sites[keep], counts[keep], window)
 
@@ -237,10 +242,15 @@ def deterministic_lattice(sites: Sequence[Sequence[float]], window: Window) -> P
 
 
 def min_pairwise_distance(points: Sequence[Sequence[float]]) -> float:
+    """`pdist(points).min()` without the O(n^2) array: the pairs near the
+    nearest-neighbour minimum are measured with pdist's formula."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) < 2:
         raise TooFewPoints("need at least two points for a pairwise distance")
-    return float(pdist(pts).min())
+    tree = cKDTree(pts)
+    r = tree.query(pts, k=2)[0][:, 1].min()
+    i, j = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+    return float(np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1)).min())
 
 
 def barycentre_shift(
@@ -276,16 +286,3 @@ def barycentre_shift(
             hit = totals > 0
             out[hit] = sums[hit] / totals[hit, None]
     return PointConfiguration(out, None, eta.window)
-
-
-def replicate(
-    sampler: ProcessSampler, window: Window, base_seed: Seed, n_reps: int
-) -> Iterator[PointConfiguration]:
-    """Independent replications with seeds mix(base_seed, index)."""
-    for i in range(n_reps):
-        yield sampler(window, mix_seed(base_seed, i))
-
-
-def empty_process(window: Window, seed: Seed) -> PointConfiguration:
-    """Sampler producing the empty configuration, regardless of seed."""
-    return PointConfiguration(np.empty((0, window.dimension)), None, window)

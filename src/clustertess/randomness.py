@@ -7,7 +7,10 @@ that results are a pure function of (parameters, seed):
   parallel replications never share a stream;
 * Poisson counts use a fixed pair of algorithms (sequential-search
   inversion for small means, Hoermann's PTRS transformed rejection for
-  large ones) instead of whatever the underlying library happens to ship.
+  large ones) instead of whatever the underlying library happens to ship;
+  batches at one small mean look uniforms up in a table of the scalar's
+  sums (Devroye 1986, ch. III.2); a uniform above the table's ceiling,
+  which can lie below 1 - 2**-53, draws the index where the pmf underflows.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def poisson_count(rng: np.random.Generator, mean: float) -> int:
     otherwise the PTRS transformed-rejection sampler. The split is fixed
     so that a seed always consumes uniforms the same way.
     """
-    if mean < 0.0:
+    if not mean >= 0.0:
         raise ValueError(f"Poisson mean must be nonnegative, got {mean}")
     if mean == 0.0:
         return 0
@@ -62,12 +65,24 @@ def poisson_count(rng: np.random.Generator, mean: float) -> int:
     return _poisson_ptrs(rng, mean)
 
 
+def poisson_counts(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
+    """`size` calls of poisson_count at once: same draws, same uniforms."""
+    if not 0.0 < mean <= INVERSION_CUTOFF:  # PTRS, zero, or the scalar's ValueError
+        return np.array([poisson_count(rng, mean) for _ in range(size)], dtype=np.int64)
+    u = rng.random(size)
+    top, p = u.max(initial=0.0), math.exp(-mean)
+    cum = [p]  # the scalar search's sums, until they reach top or the pmf underflows
+    while cum[-1] < top and (p := p * (mean / len(cum))) > 0.0:
+        cum.append(cum[-1] + p)
+    return np.searchsorted(cum, u, side="left").astype(np.int64)
+
+
 def _poisson_inversion(rng: np.random.Generator, mean: float) -> int:
     u = rng.random()
     k = 0
     p = math.exp(-mean)
     cum = p
-    while u > cum:
+    while u > cum and p > 0.0:
         k += 1
         p *= mean / k
         cum += p

@@ -29,6 +29,10 @@ def _fmt_float(x: float) -> str:
 
 def dumps_value(value) -> str:
     """Serialize to JSON text with deterministic float formatting."""
+    if type(value) is float:  # exact types first: the bulk of a record
+        return _fmt_float(value)
+    if type(value) is list:
+        return "[" + ",".join(dumps_value(v) for v in value) + "]"
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .clusterprops import ClusterProperty, cluster_count, extract_clusters
 from .cutproject import Chain, decompose_length
@@ -72,6 +72,11 @@ def _pool_bins(observed: List[float], expected: List[float]) -> Tuple[List[float
     return obs_out, exp_out
 
 
+def chi2_threshold(dof: int) -> float:
+    """`chi2.ppf(1 - CHI2_SIGNIFICANCE, dof)` bit for bit, without importing scipy.stats."""
+    return float(2.0 * gammaincinv(dof / 2, 1.0 - CHI2_SIGNIFICANCE))
+
+
 def poisson_chi_square(counts: Sequence[int], mean: float) -> Tuple[float, float, int]:
     """Chi-square GOF statistic of observed counts against Poisson(mean).
 
@@ -89,7 +94,7 @@ def poisson_chi_square(counts: Sequence[int], mean: float) -> Tuple[float, float
     obs, exp = _pool_bins(observed, expected)
     dof = max(1, len(obs) - 1)
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
-    threshold = float(chi2.ppf(1.0 - CHI2_SIGNIFICANCE, dof))
+    threshold = chi2_threshold(dof)
     return stat, threshold, dof
 
 

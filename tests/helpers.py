@@ -5,7 +5,8 @@ exhaustive enumeration instead of Qhull's Delaunay triangulation,
 closed-form determinant circumcenters instead of the elimination
 solver, linear feasibility instead of Qhull, barycentric signs instead
 of halfspace tests, the scalar face test on every pair instead of the
-batched face-to-face validator.
+batched face-to-face validator, the full (n, m) double loop instead of
+the banded length decomposition.
 """
 
 import itertools
@@ -13,7 +14,15 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from clustertess import Cluster, DegenerateSimplex, ball_contains, circumball, common_face_check
+from clustertess import (
+    SQRT2,
+    AmbiguousDecomposition,
+    Cluster,
+    DegenerateSimplex,
+    ball_contains,
+    circumball,
+    common_face_check,
+)
 from clustertess.geometry import BallSide, FaceRelation
 
 
@@ -161,3 +170,19 @@ def two_sample_chi_square(counts_a, counts_b, min_expected=5.0):
     stat = sum((a - b) ** 2 / (a + b) for a, b in bins if a + b > 0)
     dof = max(1, len(bins) - 1)
     return stat, dof
+
+
+def decompose_length_double_loop(length, n_max, tol):
+    """`decompose_length` by testing every (n, m) up to n_max."""
+    hits = []
+    for n in range(n_max + 1):
+        for m in range(n_max + 1):
+            if abs(length - (n + m * SQRT2)) <= tol:
+                hits.append((n, m))
+    if not hits:
+        return None
+    if len(hits) > 1:
+        raise AmbiguousDecomposition(
+            f"length {length} matches {hits} within tol = {tol}"
+        )
+    return hits[0]

@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clustertess import (
     STRIP_HALF_WIDTH,
@@ -12,17 +14,23 @@ from clustertess import (
     DuplicatePoints,
     EpsilonTooLarge,
     LatticeIndex,
+    PointConfiguration,
     band_points,
     chain_from_points,
     decompose_length,
     deterministic_chain,
-    empty_process,
     mix_seed,
     sample_poisson_homogeneous,
     shifted_chain,
     strip_points,
     thinned_chain,
 )
+
+from helpers import decompose_length_double_loop
+
+
+def empty_process(window, seed):
+    return PointConfiguration(np.empty((0, window.dimension)), None, window)
 
 
 def exhaustive_strip(x_lo, x_hi, bound=60):
@@ -216,3 +224,29 @@ def test_decompose_length():
     assert decompose_length(0.5, 5, 1e-9) is None
     with pytest.raises(AmbiguousDecomposition):
         decompose_length(1.2, 2, 0.3)
+
+
+def _decomposition_outcome(decompose, length, n_max, tol):
+    try:
+        return decompose(length, n_max, tol)
+    except AmbiguousDecomposition as exc:
+        return ("ambiguous", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    m=st.integers(0, 30),
+    jitter=st.one_of(st.just(0.0), st.floats(-2.5, 2.5)),
+    tol=st.floats(1e-12, 2.0),
+    n_max=st.one_of(st.none(), st.integers(0, 50)),
+)
+@example(n=1, m=0, jitter=0.2, tol=0.3, n_max=2)
+@example(n=3, m=2, jitter=0.0, tol=1e-12, n_max=None)
+def test_decompose_length_matches_double_loop(n, m, jitter, tol, n_max):
+    length = n + m * SQRT2 + jitter
+    if n_max is None:
+        n_max = int(math.ceil(length + tol)) + 1  # as tile_length_histogram calls it
+    assert _decomposition_outcome(decompose_length, length, n_max, tol) == _decomposition_outcome(
+        decompose_length_double_loop, length, n_max, tol
+    )

@@ -30,7 +30,6 @@ def test_circumball_right_isoceles_triangle():
     ball = circumball(Cluster([(0, 0), (1, 0), (0, 1)]))
     assert ball.center == pytest.approx((0.5, 0.5), abs=1e-12)
     assert ball.radius == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
-    assert ball.boundary_included
 
 
 def test_circumball_1d_midpoint():

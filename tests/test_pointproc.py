@@ -1,7 +1,11 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 from scipy.stats import chi2
 
 from clustertess import (
@@ -18,6 +22,7 @@ from clustertess import (
     mix_seed,
     poisson_chi_square,
     poisson_count,
+    poisson_counts,
     sample_poisson_discrete,
     sample_poisson_homogeneous,
     splitmix64,
@@ -85,6 +90,64 @@ def test_poisson_count_large_mean_distribution():
     stat, threshold, _ = poisson_chi_square(counts, 50.0)
     assert stat <= threshold
     assert abs(np.mean(counts) - 50.0) <= 4 * math.sqrt(50.0 / len(counts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mean=st.one_of(st.just(0.0), st.floats(1e-3, 30.0), st.floats(30.0, 60.0)),
+    size=st.integers(0, 2000),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_poisson_counts_match_scalar_draws(mean, size, seed):
+    batched_rng, scalar_rng = make_rng(seed), make_rng(seed)
+    batched = poisson_counts(batched_rng, mean, size)
+    scalar = [poisson_count(scalar_rng, mean) for _ in range(size)]
+    assert batched.dtype == np.int64
+    assert batched.tolist() == scalar
+    # both consumed the same uniforms
+    assert batched_rng.random() == scalar_rng.random()
+
+
+class _FixedUniforms:
+    """Stand-in generator that hands out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None):
+        if size is None:
+            return self.uniforms.pop(0)
+        out, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(out)
+
+
+@pytest.mark.parametrize("mean", [1e-3, 0.21, 1.0, 5.0, 29.5])
+def test_poisson_inversion_at_table_boundaries(mean):
+    # the cumulative sums by the scalar search's recurrence, up to the
+    # first pmf term that underflows
+    sums = []
+    p = cum = math.exp(-mean)
+    while p > 0.0:
+        sums.append(cum)
+        p *= mean / len(sums)
+        cum += p
+    top = 1.0 - 2.0**-53  # the largest uniform the generator returns
+    uniforms = sorted({u for c in sums for u in (c, np.nextafter(c, 1.0)) if u <= top} | {top})
+    # first index whose sum reaches u; len(sums) above the ceiling
+    expected = [bisect.bisect_left(sums, u) for u in uniforms]
+    assert poisson_counts(_FixedUniforms(uniforms), mean, len(uniforms)).tolist() == expected
+    scalar_rng = _FixedUniforms(uniforms)
+    assert [poisson_count(scalar_rng, mean) for _ in uniforms] == expected
+    if mean == 0.21:  # its ceiling lies below the largest uniform
+        assert sums[-1] < top and expected[-1] == len(sums)
+
+
+def test_poisson_mean_must_be_a_nonnegative_number():
+    for mean in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            poisson_count(make_rng(1), mean)
+        with pytest.raises(ValueError):
+            poisson_counts(make_rng(1), mean, 5)
 
 
 def test_discrete_tiny_mass_empty():
@@ -156,6 +219,31 @@ def test_configuration_invariants():
         PointConfiguration([(2.0, 0.5)], None, window)
     with pytest.raises(ValueError):
         PointConfiguration([(0.5, 0.5)], [0], window)
+    with pytest.raises(ValueError):  # wrong ndim
+        PointConfiguration([[[0.5, 0.5]]], None, window)
+    with pytest.raises(ValueError):  # wrong column count
+        PointConfiguration([(0.5, 0.5, 0.5)], None, window)
+    with pytest.raises(ValueError):  # one multiplicity for two points
+        PointConfiguration([(0.1, 0.1), (0.2, 0.2)], [1], window)
+    # the configuration freezes copies, never the caller's arrays
+    for n in (0, 1, 3):
+        pts = np.linspace(0.1, 0.9, 2 * n).reshape(n, 2)
+        mult = np.ones(n, dtype=np.int64)
+        eta = PointConfiguration(pts, mult, window)
+        assert pts.flags.writeable and mult.flags.writeable
+        assert not eta.points.flags.writeable and not eta.multiplicities.flags.writeable
+
+
+def test_window_derived_arrays_stay_out_of_identity():
+    a = Window((0, -1), (2, 3), 0.5)
+    b = Window((0.0, -1.0), (2.0, 3.0), 0.5)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Window(low=(0.0, -1.0), high=(2.0, 3.0), buffer_margin=0.5)"
+    assert a.volume() == float(np.prod(np.asarray(a.high) - np.asarray(a.low))) == 8.0
+    assert a.extent().tolist() == [2.0, 4.0]
+    with pytest.raises(ValueError):
+        a.extent()[0] = 5.0
+    assert a.contains([(0.0, 3.0), (2.0, -1.5)]).tolist() == [True, False]
 
 
 def test_barycentre_shift_cases():
@@ -218,6 +306,21 @@ def test_min_pairwise_distance():
     assert min_pairwise_distance([(1.0, 1.0), (1.0, 1.0)]) == 0.0
     with pytest.raises(TooFewPoints):
         min_pairwise_distance([(0.0, 0.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(2, 60),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_pairwise_distance_matches_pdist(d, n, grid, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d)) * 4.0
+    if grid:  # quarter grid: ties and duplicates
+        pts = np.round(pts * 4.0) / 4.0
+    assert min_pairwise_distance(pts) == float(pdist(pts).min())
 
 
 def test_disjoint_box_counts_uncorrelated():

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+import clustertess
 from clustertess import (
+    CHI2_SIGNIFICANCE,
     Cluster,
     ClusterProperty,
     PropertyMode,
@@ -16,6 +23,7 @@ from clustertess import (
     thinned_chain,
     tile_length_histogram,
 )
+from clustertess.stats import chi2_threshold
 
 UNIT = Window((0.0, 0.0), (1.0, 1.0))
 
@@ -122,3 +130,16 @@ def test_tile_histogram_thinned_chain():
     assert hist.undecomposed == ()
     assert all(n >= 0 and m >= 0 for n, m in hist.counts)
     assert sum(hist.counts.values()) == len(chain.tiles)
+
+
+def test_chi2_threshold_equals_scipy_stats_quantile():
+    for dof in range(1, 401):
+        assert chi2_threshold(dof) == float(chi2.ppf(1.0 - CHI2_SIGNIFICANCE, dof)), dof
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(clustertess.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, clustertess.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
