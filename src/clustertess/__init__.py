@@ -22,11 +22,10 @@ from .errors import (
 from .geometry import (
     EPS_GEOM,
     Ball,
-    BallSide,
     Cluster,
     FaceRelation,
-    ball_contains,
     circumball,
+    circumballs,
     common_face_check,
     convex_hull_vertices,
     is_discrete_polytope,

@@ -7,6 +7,12 @@ filters the candidates through the predicate and flags each surviving
 cluster as boundary-uncertain when unseen points outside the window
 could have changed the verdict.
 
+The built-in properties decide a whole configuration at once. Each
+builds one table per configuration, {candidate: (member, uncertain)},
+from batched numpy and kd-tree work over index rows into the points,
+and its callables read that table. A cluster that is not a candidate,
+in particular one outside the support, reads non-member.
+
 Two modes exist: clusters *in* a configuration are subsets of its
 support (Delone simplices, hard-core singletons), clusters *for* a
 configuration need not be (Voronoi cell vertex sets).
@@ -22,8 +28,8 @@ from typing import Callable, Iterable, Optional, Tuple
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .errors import DegenerateSimplex, NotSimple, UnsupportedDimension
-from .geometry import EPS_GEOM, Ball, Cluster, circumball, is_discrete_polytope
+from .errors import NotSimple, UnsupportedDimension
+from .geometry import EPS_GEOM, Ball, Cluster, circumball, circumballs, is_discrete_polytope
 from .pointproc import PointConfiguration, Window
 
 
@@ -138,109 +144,151 @@ def cluster_count(cfg: ClusterConfiguration, certain_only: bool = False) -> int:
 
 
 # ---------------------------------------------------------------------------
+# per-configuration tables
+
+# kd-tree queries reach this far past a bound, so that their rounding drops
+# no point the exact recheck admits (squares below 1e-300 lose precision)
+_REACH = 1.0 + 1e-12
+_REACH_FLOOR = 1e-150
+
+
+def _table_property(name: str, mode: PropertyMode, build: Callable, certainty_ball=None) -> ClusterProperty:
+    """A property whose callables read `build(eta)`, a dict {candidate:
+    (member, uncertain)} in enumeration order. It is built once for the
+    configuration last asked about, matched by identity (configurations
+    are immutable); nothing outlives the property."""
+    last = [None, {}]
+
+    def table_of(eta: PointConfiguration) -> dict:
+        if eta is not last[0]:
+            last[:] = eta, build(eta)
+        return last[1]
+
+    def enumerate_candidates(eta: PointConfiguration):
+        return list(table_of(eta))
+
+    def membership(cluster: Cluster, eta: PointConfiguration) -> bool:
+        return table_of(eta).get(cluster, (False,))[0]
+
+    def boundary_uncertain(cluster: Cluster, eta: PointConfiguration) -> bool:
+        return table_of(eta)[cluster][1]
+
+    return ClusterProperty(name, mode, enumerate_candidates, membership, boundary_uncertain, certainty_ball)
+
+
+def _table(pts: np.ndarray, rows: np.ndarray, member: np.ndarray, uncertain: np.ndarray) -> dict:
+    """{Cluster of pts[row]: (member, uncertain)}, one entry per index row."""
+    return dict(zip(map(Cluster, pts[rows].tolist()), zip(member.tolist(), uncertain.tolist())))
+
+
+# ---------------------------------------------------------------------------
 # hard-core singletons
 
 
 def hardcore_property(r: float) -> ClusterProperty:
     """Singletons whose distance to every other configuration point is
-    at least r; the radius-r/2 balls around them never intersect."""
+    at least r; the radius-r/2 balls around them never intersect.
+
+    One kd-tree pair query decides the configuration: pairs within a
+    padded r are measured again as the scalar test measures them; a
+    pair closer than r, but not at distance zero, blocks both points.
+    Singletons within r of the window boundary are uncertain.
+    """
     if r <= 0.0:
         raise ValueError(f"hard-core radius must be positive, got {r}")
 
-    def enumerate_candidates(eta: PointConfiguration):
-        for p in eta.points:
-            yield Cluster([tuple(p)])
-
-    def membership(cluster: Cluster, eta: PointConfiguration) -> bool:
-        if len(cluster) != 1:
-            return False
-        a = np.asarray(cluster.points[0])
-        if eta.n_atoms == 0:
-            return True
-        dists = np.linalg.norm(eta.points - a, axis=1)
-        others = dists[dists > 0.0]
-        return not np.any(others < r)
-
-    def boundary_uncertain(cluster: Cluster, eta: PointConfiguration) -> bool:
-        return eta.window.boundary_distance(cluster.points[0]) < r
+    def build(eta: PointConfiguration) -> dict:
+        pts, w = eta.points, eta.window
+        i, j = cKDTree(pts).query_pairs(r * _REACH + _REACH_FLOOR, output_type="ndarray").T
+        dist = np.linalg.norm(pts[j] - pts[i], axis=1)
+        close = (dist > 0.0) & (dist < r)
+        member = np.ones(len(pts), dtype=bool)
+        member[i[close]] = member[j[close]] = False
+        uncertain = np.minimum(pts - w._low, w._high - pts).min(axis=1) < r  # boundary_distance
+        return _table(pts, np.arange(len(pts))[:, None], member, uncertain)
 
     def certainty_ball(cluster: Cluster, eta: PointConfiguration) -> Ball:
         return Ball(cluster.points[0], r)
 
-    return ClusterProperty(
-        name=f"hardcore(r={r})",
-        mode=PropertyMode.IN_CONFIGURATION,
-        enumerate_candidates=enumerate_candidates,
-        membership=membership,
-        boundary_uncertain=boundary_uncertain,
-        certainty_ball=certainty_ball,
-    )
+    return _table_property(f"hardcore(r={r})", PropertyMode.IN_CONFIGURATION, build, certainty_ball)
 
 
 # ---------------------------------------------------------------------------
 # Delone simplices with capped circumradius
 
 
-def _delone_candidate_rows(
-    eta: PointConfiguration, radius_cap: float, open_ball_mode: bool, eps: float
-) -> np.ndarray:
-    """Index rows, each ascending, of the Delone candidates: the Delaunay
-    simplices (Qhull) whose circumradius fits under the cap. In d = 1
-    the Delaunay simplices are the adjacent pairs of the sorted points.
+def _delone_candidate_rows(pts: np.ndarray, tree: cKDTree, radius_cap: float, eps: float) -> np.ndarray:
+    """Index rows of the Delone candidates, each ascending, unique and in
+    lexicographic order.
 
-    Closed-ball mode needs nothing more: a simplex whose closed
-    circumball holds no other point is a Delaunay simplex of every
-    triangulation, Qhull's included. Open-ball mode also admits the
-    other simplices of a cocircular group, which Qhull triangulates one
-    way only, so each simplex grows into every point within a few eps
-    of its circumsphere and all (d+1)-subsets of that group become
-    candidates. The scalar membership predicate has the final word on
-    every candidate.
+    Each Delaunay simplex (Qhull; in d = 1 an adjacent pair) under the
+    cap grows into every point within 8 eps of its circumsphere, and all
+    (d+1)-subsets of that group become candidates. Qhull triangulates a
+    cocircular group one way only, while the open ball admits all its
+    simplices; and it resolves near-cocircular groups only to its own
+    precision, which a thin simplex coarsens: of (0, 0), (1e-9, 0),
+    (0.25, 0.25), (0, 0.5) it keeps the two triangles on (1e-9, 0) and
+    (0, 0.5), but the closed-ball member is the third.
 
     Qhull resolves points only to about 1e-13 of the extent, so every
     (d+1)-subset within two cap radii of a point that has a neighbour
-    within 1e-10 of the extent is a candidate too, unfiltered.
+    within 1e-10 of the extent is a candidate too.
     """
-    pts = eta.points
     n, d = pts.shape
-    none = np.empty((0, d + 1), dtype=np.int64)
+    rows = np.empty((0, d + 1), dtype=np.intp)
     if n < d + 1:
-        return none
+        return rows
     if d == 1:
-        idx = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+        rows = np.column_stack([np.arange(n - 1), np.arange(1, n)])
     else:
         try:
             # centred input keeps Qhull's lifted coordinates small
-            idx = np.sort(Delaunay(pts - pts.mean(axis=0)).simplices, axis=1)
+            rows = Delaunay(pts - pts.mean(axis=0)).simplices
         except QhullError:  # affinely degenerate input, e.g. all collinear
-            idx = none
-    idx = idx.astype(np.int64)
-    simplices = pts[idx]  # (m, d+1, d)
-    lhs = 2.0 * (simplices[:, 1:, :] - simplices[:, :1, :])
-    rhs = (simplices[:, 1:, :] ** 2).sum(axis=2) - (simplices[:, :1, :] ** 2).sum(axis=2)
-    # row-scaled, so a tiny but well-shaped simplex passes like a unit one
-    rowscale = np.abs(lhs).max(axis=(1, 2))
-    solvable = np.abs(np.linalg.det(lhs / rowscale[:, None, None])) > 1e-13**d
-    idx = idx[solvable]
-    centers = np.linalg.solve(lhs[solvable], rhs[solvable][:, :, None])[:, :, 0]
-    radii = np.linalg.norm(pts[idx] - centers[:, None, :], axis=2).max(axis=1)
+            pass
     # An admitted open-ball simplex S off Qhull's triangulation sits off
     # the sphere of a simplex T of its group by up to eps * vol(S) / vol(T).
     # In the plane one of the two triangles on a quadrilateral holds half
     # its area, so 2 eps covers that case; 8 eps leaves room for larger
     # groups and d = 3.
-    slack = 1.0 + (8.0 if open_ball_mode else 1.0) * eps
-    good = np.isfinite(radii) & (radii <= radius_cap * slack)
-    idx, centers, radii = idx[good], centers[good], radii[good]
-    tree = cKDTree(pts)
-    if open_ball_mode:
-        groups = tree.query_ball_point(centers, radii * slack, return_sorted=True)
-        rows = {tuple(c) for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
-        idx = np.array(sorted(rows), dtype=np.int64).reshape(-1, d + 1)
+    slack = 1.0 + 8.0 * eps
+    centers, radii, ok = circumballs(pts[rows], eps)
+    good = ok & (radii <= radius_cap * slack)
+    groups = tree.query_ball_point(centers[good], radii[good] * slack, return_sorted=True)
+    grown = {c for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
     crowded = np.unique(tree.query_pairs(1e-10 * np.ptp(pts, axis=0).max(), output_type="ndarray"))
     near = tree.query_ball_point(pts[crowded], 2.0 * radius_cap * slack)
-    extra = {c for i, g in zip(crowded, near) for c in itertools.combinations(sorted(g), d + 1) if i in c}
-    return np.concatenate([idx, np.array(sorted(extra), dtype=np.int64).reshape(-1, d + 1)])
+    grown |= {c for i, g in zip(crowded, near) for c in itertools.combinations(sorted(g), d + 1) if i in c}
+    return np.unique(np.array(list(grown), dtype=np.intp).reshape(-1, d + 1), axis=0)
+
+
+def _delone_table(eta: PointConfiguration, radius_cap: float, open_ball_mode: bool, eps: float):
+    """The Delone candidates under the cap, as (rows, centers, radii,
+    member): index rows in lexicographic order, their circumballs (bit
+    for bit `circumball`'s) and whether each punctured circumball is
+    empty. Emptiness is the scalar trichotomy's: the kd-tree finds the
+    points within a padded radius, their distances to the centre are
+    measured again with the scalar's expression, and the vertices are
+    excluded by index.
+    """
+    pts = eta.points
+    tree = cKDTree(pts)
+    rows = _delone_candidate_rows(pts, tree, radius_cap, eps)
+    centers, radii, ok = circumballs(pts[rows], eps)
+    under = ok & (radii <= radius_cap)
+    rows, centers, radii = rows[under], centers[under], radii[under]
+    band = eps * radii
+    hits = tree.query_ball_point(centers, (radii + band) * _REACH + _REACH_FLOOR)
+    owner = np.repeat(np.arange(len(rows)), [len(h) for h in hits])
+    k = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(owner))
+    dist = np.linalg.norm(pts[k] - centers[owner], axis=1)
+    if open_ball_mode:
+        inside = dist < (radii - band)[owner]
+    else:
+        inside = dist <= (radii + band)[owner]
+    inside &= (rows[owner] != k[:, None]).all(axis=1)
+    member = np.bincount(owner[inside], minlength=len(rows)) == 0
+    return rows, centers, radii, member
 
 
 def delone_property(
@@ -254,69 +302,26 @@ def delone_property(
     the circumsphere block the cluster. `open_ball_mode` switches to the
     conventional open-ball Delaunay test.
 
-    Candidates are the Delaunay simplices of the configuration from
-    scipy's Qhull, filtered by the radius cap; in open-ball mode each
-    is grown into its cocircular group (see `_delone_candidate_rows`).
+    Candidates grow out of the Delaunay simplices of the configuration
+    (scipy's Qhull; see `_delone_candidate_rows`), and `_delone_table`
+    decides those under the cap all at once. A cluster is
+    boundary-uncertain when its circumball leaves the window.
     """
     if radius_cap <= 0.0:
         raise ValueError(f"radius cap must be positive, got {radius_cap}")
 
-    def enumerate_candidates(eta: PointConfiguration):
-        rows = _delone_candidate_rows(eta, radius_cap, open_ball_mode, eps)
-        pts = eta.points
-        return (Cluster(tuple(pts[j]) for j in row) for row in rows)
-
-    def membership(cluster: Cluster, eta: PointConfiguration) -> bool:
-        if len(cluster) != eta.dimension + 1:
-            return False
-        try:
-            ball = circumball(cluster, eps)
-        except DegenerateSimplex:
-            return False
-        if ball.radius > radius_cap:
-            return False
-        return not _punctured_ball_hit(ball, cluster, eta, open_ball_mode, eps)
-
-    def boundary_uncertain(cluster: Cluster, eta: PointConfiguration) -> bool:
-        ball = circumball(cluster, eps)
-        return not eta.window.contains_ball(ball.center, ball.radius)
+    def build(eta: PointConfiguration) -> dict:
+        rows, centers, radii, member = _delone_table(eta, radius_cap, open_ball_mode, eps)
+        w = eta.window
+        # contains_ball, elementwise
+        inside = (centers - radii[:, None] >= w._low) & (centers + radii[:, None] <= w._high)
+        return _table(eta.points, rows, member, ~inside.all(axis=1))
 
     def certainty_ball(cluster: Cluster, eta: PointConfiguration) -> Ball:
         return circumball(cluster, eps)
 
-    return ClusterProperty(
-        name=f"delone(R={radius_cap})" + (" [open ball]" if open_ball_mode else ""),
-        mode=PropertyMode.IN_CONFIGURATION,
-        enumerate_candidates=enumerate_candidates,
-        membership=membership,
-        boundary_uncertain=boundary_uncertain,
-        certainty_ball=certainty_ball,
-    )
-
-
-def _punctured_ball_hit(
-    ball: Ball,
-    cluster: Cluster,
-    eta: PointConfiguration,
-    open_ball_mode: bool,
-    eps: float,
-) -> bool:
-    """True iff some configuration point other than the cluster vertices
-    lies in the (punctured) circumball, per the trichotomy predicate."""
-    center = np.asarray(ball.center)
-    dists = np.linalg.norm(eta.points - center, axis=1)
-    band = eps * ball.radius
-    if open_ball_mode:
-        suspect = dists < ball.radius - band
-    else:
-        suspect = dists <= ball.radius + band
-    if not np.any(suspect):
-        return False
-    vertex_rows = {p for p in cluster.points}
-    for idx in np.nonzero(suspect)[0]:
-        if tuple(eta.points[idx]) not in vertex_rows:
-            return True
-    return False
+    name = f"delone(R={radius_cap})" + (" [open ball]" if open_ball_mode else "")
+    return _table_property(name, PropertyMode.IN_CONFIGURATION, build, certainty_ball)
 
 
 # ---------------------------------------------------------------------------
@@ -327,36 +332,29 @@ def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool, ep
     """Bounded Voronoi cells of a planar configuration, by duality.
 
     Returns {cell cluster: (center point, certain flag)}. The vertices
-    of the cell of a center are the circumcenters of the empty-
-    circumball triangles incident to it; a cell counts as bounded only
-    when its triangle fan closes into a single ring.
+    of the cell of a center are the circumcenters of the Delone
+    triangles (`_delone_table`) incident to it. Their fan closes into a
+    single ring, and the cell is bounded, when there are at least three
+    and each neighbour of the center in them appears in exactly two.
     """
     if eta.dimension != 2:
         raise UnsupportedDimension("the Voronoi property is implemented for d = 2 only")
-    delone = delone_property(cap, open_ball_mode=open_ball_mode, eps=eps)
-    triangles = extract_clusters(delone, eta)
-    index_of = {tuple(p): i for i, p in enumerate(eta.points)}
-    incident: dict = {}
-    for tri in triangles:
-        ball = circumball(tri, eps)
-        for p in tri.points:
-            incident.setdefault(index_of[p], []).append((tri, ball))
+    if not eta.is_simple:
+        raise NotSimple("Voronoi cells by duality require a simple configuration")
+    rows, centers, _, member = _delone_table(eta, cap, open_ball_mode, eps)
+    rows, centers = rows[member], centers[member]
+    # (center, neighbour) incidences, one per triangle and ordered vertex pair
+    pairs = rows[:, [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]].reshape(-1, 2)
+    edges, uses = np.unique(pairs, axis=0, return_counts=True)
+    closed = np.bincount(rows.ravel(), minlength=eta.n_atoms) >= 3
+    closed[edges[uses != 2, 0]] = False
+    # the triangles at each center, in row order
+    incident = np.argsort(rows.ravel(), kind="stable") // 3
+    start = np.searchsorted(np.sort(rows.ravel()), np.arange(eta.n_atoms + 1))
     out = {}
-    for ci, pairs in incident.items():
-        if len(pairs) < 3:
-            continue
+    for ci in np.nonzero(closed)[0]:
         center = eta.points[ci]
-        # every Delaunay edge at the center must be shared by exactly two
-        # incident triangles, otherwise the fan is open (unbounded cell)
-        degree: dict = {}
-        for tri, _ in pairs:
-            for p in tri.points:
-                j = index_of[p]
-                if j != ci:
-                    degree[j] = degree.get(j, 0) + 1
-        if any(v != 2 for v in degree.values()) or len(degree) != len(pairs):
-            continue
-        verts = np.array([b.center for _, b in pairs])
+        verts = centers[incident[start[ci] : start[ci + 1]]]
         angles = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
         order = np.argsort(angles, kind="stable")
         ordered = verts[order]
@@ -371,10 +369,7 @@ def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool, ep
             continue
         cell = Cluster(tuple(ordered[k]) for k in keep)
         radii = np.linalg.norm(ordered[keep] - center, axis=1)
-        certain = all(
-            eta.window.contains_ball(tuple(v), float(r))
-            for v, r in zip(ordered[keep], radii)
-        )
+        certain = all(eta.window.contains_ball(tuple(v), float(r)) for v, r in zip(ordered[keep], radii))
         out[cell] = (tuple(center), certain)
     return out
 
@@ -392,42 +387,22 @@ def voronoi_property(
 ) -> ClusterProperty:
     """Vertex sets of bounded Voronoi cells in the plane.
 
-    Candidates come from duality with the empty-circumball triangles
-    (radius capped at twice the window diameter, which cannot exclude
-    any boundary-certain cell); vertices are ordered counterclockwise
-    around the center starting from the smallest angle. Membership
-    additionally requires the vertex set to be a discrete polytope. A
-    cell is boundary-certain when, for every vertex, the ball around it
-    reaching back to the center fits inside the window; only then is no
-    unseen outside point able to displace that vertex.
-
-    The property keeps the cells of the one configuration it was last
-    asked about, matched by identity; nothing outlives the property.
+    Candidates come from duality with the Delone table (radius capped
+    at twice the window diameter, which cannot exclude any
+    boundary-certain cell; see `_voronoi_cells`); vertices are ordered
+    counterclockwise around the center starting from the smallest
+    angle. Membership additionally requires the vertex set to be a
+    discrete polytope. A cell is boundary-certain when, for every
+    vertex, the ball around it reaching back to the center fits inside
+    the window; only then is no unseen outside point able to displace
+    that vertex.
     """
     if window.dimension != 2:
         raise UnsupportedDimension("the Voronoi property is implemented for d = 2 only")
     cap = 2.0 * window.diameter()
-    last_eta, last_cells = None, {}
 
-    def cells_of(eta: PointConfiguration) -> dict:
-        nonlocal last_eta, last_cells
-        if eta is not last_eta:
-            last_eta, last_cells = eta, _voronoi_cells(eta, cap, open_ball_mode, eps)
-        return last_cells
+    def build(eta: PointConfiguration) -> dict:
+        cells = _voronoi_cells(eta, cap, open_ball_mode, eps)
+        return {cell: (is_discrete_polytope(cell, eps), not certain) for cell, (_, certain) in cells.items()}
 
-    def enumerate_candidates(eta: PointConfiguration):
-        return list(cells_of(eta).keys())
-
-    def membership(cluster: Cluster, eta: PointConfiguration) -> bool:
-        return cluster in cells_of(eta) and is_discrete_polytope(cluster, eps)
-
-    def boundary_uncertain(cluster: Cluster, eta: PointConfiguration) -> bool:
-        return not cells_of(eta)[cluster][1]
-
-    return ClusterProperty(
-        name="voronoi",
-        mode=PropertyMode.FOR_CONFIGURATION,
-        enumerate_candidates=enumerate_candidates,
-        membership=membership,
-        boundary_uncertain=boundary_uncertain,
-    )
+    return _table_property("voronoi", PropertyMode.FOR_CONFIGURATION, build)

@@ -3,12 +3,12 @@
 A cluster is a finite set of distinct points in R^d, standing in for the
 vertex set of a convex polytope. This module supplies the exact-enough
 kernels everything else is built on: circumballs of simplices,
-convex hulls and extreme points (Qhull, d <= 3), ball membership with
-an explicit tolerance policy, and the pairwise face-to-face test.
+convex hulls and extreme points (Qhull, d <= 3), and the pairwise
+face-to-face test.
 
 All predicates share one relative tolerance (EPS_GEOM by default).
-Cocircular and other borderline situations surface as an explicit
-`on_boundary` outcome instead of being resolved by rounding luck.
+`circumballs` is `circumball` batched over many simplices, with the
+same arithmetic, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -110,12 +110,6 @@ class Ball:
             raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
 
 
-class BallSide(Enum):
-    INSIDE = "inside"
-    ON_BOUNDARY = "on_boundary"
-    OUTSIDE = "outside"
-
-
 class FaceRelation(Enum):
     DISJOINT = "disjoint"
     COMMON_FACE = "common_face"
@@ -180,32 +174,53 @@ def circumball(simplex: Cluster, eps: float = EPS_GEOM) -> Ball:
     return Ball(tuple(center), radius)
 
 
-def ball_contains(ball: Ball, point: PointLike, eps: float = EPS_GEOM) -> BallSide:
-    """Trichotomy of a point against a sphere, with relative tolerance.
-
-    distance < r - eps*r   -> INSIDE
-    |distance - r| <= eps*r -> ON_BOUNDARY
-    otherwise               -> OUTSIDE
+def circumballs(simplices: np.ndarray, eps: float = EPS_GEOM):
+    """`circumball` of each of m simplices, an (m, d+1, d) array:
+    (centers (m, d), radii (m,), ok (m,)), ok False where `circumball`
+    raises DegenerateSimplex. It is `circumball`'s elimination,
+    vectorised over m with the same pivots, threshold and operation
+    order: sums run term by term, a zero factor skips its row update,
+    and radius terms are squared by libm `pow` (`np.float_power`), as
+    `** 2` does. Where ok holds, the results equal `circumball`'s bit
+    for bit.
     """
-    c = ball.center
-    dist = math.sqrt(sum((float(p) - c[j]) ** 2 for j, p in enumerate(point)))
-    band = eps * ball.radius
-    if abs(dist - ball.radius) <= band:
-        return BallSide.ON_BOUNDARY
-    if dist < ball.radius:
-        return BallSide.INSIDE
-    return BallSide.OUTSIDE
+    s = np.asarray(simplices, dtype=float)
+    m, _, d = s.shape
+    p0 = s[:, 0]
+    a = 2.0 * (s[:, 1:] - p0[:, None])
+    # cumsum adds left to right, as Python's `sum`; its last entry is the sum
+    b = np.cumsum(s[:, 1:] * s[:, 1:], axis=2)[..., -1] - np.cumsum(p0 * p0, axis=1)[:, -1:]
+    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+    tol = np.maximum(eps * scale, sys.float_info.min)
+    ok = scale != 0.0
+    each = np.arange(m)
+    with np.errstate(all="ignore"):  # degenerate rows run on, unused
+        for col in range(d):
+            pivot_row = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+            ok &= np.abs(a[each, pivot_row, col]) > tol
+            for arr in (a, b):
+                top = arr[:, col].copy()
+                arr[:, col] = arr[each, pivot_row]
+                arr[each, pivot_row] = top
+            inv = 1.0 / a[:, col, col]
+            for r in range(col + 1, d):
+                factor = a[:, r, col] * inv
+                skip = (factor == 0.0)[:, None]
+                a[:, r, col:] = np.where(skip, a[:, r, col:], a[:, r, col:] - factor[:, None] * a[:, col, col:])
+                b[:, r] = np.where(skip[:, 0], b[:, r], b[:, r] - factor * b[:, col])
+        centers = np.zeros((m, d))
+        for col in range(d - 1, -1, -1):
+            acc = b[:, col]
+            for j in range(col + 1, d):
+                acc = acc - a[:, col, j] * centers[:, j]
+            centers[:, col] = acc / a[:, col, col]
+        radii = np.sqrt(np.cumsum(np.float_power(s - centers[:, None], 2.0), axis=2)[..., -1]).max(axis=1)
+    return centers, radii, ok
 
 
 def is_full_simplex(cluster: Cluster, eps: float = EPS_GEOM) -> bool:
     """True iff the cluster is d+1 affinely independent points in R^d."""
-    if len(cluster) != cluster.dimension + 1:
-        return False
-    try:
-        circumball(cluster, eps)
-    except DegenerateSimplex:
-        return False
-    return True
+    return len(cluster) == cluster.dimension + 1 and bool(circumballs(cluster.as_array()[None], eps)[2][0])
 
 
 def is_discrete_polytope(cluster: Cluster, eps: float = EPS_GEOM) -> bool:

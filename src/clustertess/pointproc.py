@@ -42,9 +42,10 @@ class Window:
             raise ValueError("window corners must share a positive dimension")
         low, high = np.array(self.low), np.array(self.high)
         extent = high - low
-        if extent.min() <= 0.0:
+        # negated, so that NaN fails too
+        if not extent.min() > 0.0:
             raise ValueError(f"window must satisfy low < high, got {self.low} .. {self.high}")
-        if self.buffer_margin < 0.0 or 2.0 * self.buffer_margin >= extent.min():
+        if not (self.buffer_margin >= 0.0 and 2.0 * self.buffer_margin < extent.min()):
             raise ValueError("buffer margin must be nonnegative and below half the smallest extent")
         # derived once; plain attributes, so not part of eq, hash or repr
         for name, arr in (("_low", low), ("_high", high), ("_extent", extent)):
@@ -193,6 +194,10 @@ class DiscreteIntensity:
             raise ValueError(f"per-site mass must be positive, got {self.c}")
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("intensity sites must be pairwise distinct")
+        # derived once; a plain attribute, so not part of eq, hash or repr
+        site_array = np.asarray(self.sites, dtype=float)
+        site_array.setflags(write=False)
+        object.__setattr__(self, "_site_array", site_array)
 
 
 def sample_poisson_homogeneous(lam: float, window: Window, seed: Seed) -> PointConfiguration:
@@ -214,7 +219,7 @@ def sample_poisson_discrete(
 ) -> PointConfiguration:
     """Poisson process with discrete intensity: site e carries an
     independent Poisson(c) multiplicity, zero-count sites are omitted."""
-    sites = np.asarray(rho.sites, dtype=float)
+    sites = rho._site_array
     if window is None:
         window = _bounding_window(sites)
     rng = make_rng(seed)

@@ -21,8 +21,8 @@ from .geometry import (
     Cluster,
     FaceRelation,
     _facet_halfspaces,
+    circumballs,
     common_face_check,
-    is_full_simplex,
 )
 from .clusterprops import ClusterConfiguration
 from .pointproc import Window
@@ -46,10 +46,12 @@ class TessellationReport:
 
 
 def check_simplicial(cfg: ClusterConfiguration, d: int, eps: float = EPS_GEOM) -> bool:
-    """True iff every cluster is d+1 affinely independent points."""
-    return all(
-        c.dimension == d and is_full_simplex(c, eps) for c in cfg.clusters
-    )
+    """True iff every cluster is d+1 affinely independent points in R^d,
+    by `circumball`'s degeneracy rule (one batched `circumballs` call)."""
+    if not all(c.dimension == d and len(c) == d + 1 for c in cfg.clusters):
+        return False
+    simplices = np.array([c.points for c in cfg.clusters], dtype=float).reshape(-1, d + 1, d)
+    return bool(circumballs(simplices, eps)[2].all())
 
 
 def check_face_to_face(cfg: ClusterConfiguration, eps: float = EPS_GEOM) -> TessellationReport:
@@ -371,14 +373,17 @@ def build_report(
     eps: float = EPS_GEOM,
 ) -> TessellationReport:
     """Full report: simplicial check, face-to-face when applicable,
-    Monte-Carlo coverage and the holes verdict at `band` standard errors."""
-    simplicial = check_simplicial(cfg, d, eps)
+    Monte-Carlo coverage and the holes verdict at `band` standard errors.
+    `check_face_to_face` runs the simplicial check."""
+    simplicial = all(c.dimension == d for c in cfg.clusters)
     face_to_face = None
     violations: Tuple[Tuple[int, int], ...] = ()
     if simplicial:
-        partial = check_face_to_face(cfg, eps)
-        face_to_face = partial.face_to_face
-        violations = partial.violations
+        try:
+            partial = check_face_to_face(cfg, eps)
+            face_to_face, violations = partial.face_to_face, partial.violations
+        except NonSimplicialInput:
+            simplicial = False
     fraction, se = covered_fraction(cfg, window, n_samples, seed, eps)
     return TessellationReport(
         face_to_face=face_to_face,

@@ -7,9 +7,16 @@ solver, linear feasibility instead of Qhull, barycentric signs instead
 of halfspace tests, the scalar face test on every pair instead of the
 batched face-to-face validator, the full (n, m) double loop instead of
 the banded length decomposition.
+
+The scalar predicates the batched production code replaced live here
+as oracles too: the ball trichotomy and the hard-core isolation test
+scan every point, and `circumball`, the scalar elimination, checks the
+batched `circumballs` bit for bit.
 """
 
 import itertools
+import math
+from enum import Enum
 
 import numpy as np
 from scipy.optimize import linprog
@@ -19,11 +26,42 @@ from clustertess import (
     AmbiguousDecomposition,
     Cluster,
     DegenerateSimplex,
-    ball_contains,
+    EPS_GEOM,
     circumball,
     common_face_check,
 )
-from clustertess.geometry import BallSide, FaceRelation
+from clustertess.geometry import FaceRelation
+
+
+class BallSide(Enum):
+    INSIDE = "inside"
+    ON_BOUNDARY = "on_boundary"
+    OUTSIDE = "outside"
+
+
+def ball_contains(ball, point, eps=EPS_GEOM):
+    """Trichotomy of a point against a sphere, with relative tolerance.
+
+    distance < r - eps*r   -> INSIDE
+    |distance - r| <= eps*r -> ON_BOUNDARY
+    otherwise               -> OUTSIDE
+    """
+    c = ball.center
+    dist = math.sqrt(sum((float(p) - c[j]) ** 2 for j, p in enumerate(point)))
+    band = eps * ball.radius
+    if abs(dist - ball.radius) <= band:
+        return BallSide.ON_BOUNDARY
+    if dist < ball.radius:
+        return BallSide.INSIDE
+    return BallSide.OUTSIDE
+
+
+def hardcore_isolated(point, eta, r):
+    """Scalar hard-core membership: no other configuration point lies
+    closer than r to the point (distances that round to zero are the
+    point itself)."""
+    dists = np.linalg.norm(eta.points - np.asarray(point), axis=1)
+    return not np.any(dists[dists > 0.0] < r)
 
 
 def exhaustive_delone(eta, radius_cap, open_ball_mode=False):

@@ -23,9 +23,7 @@ from clustertess import (
     voronoi_cell_centers,
     voronoi_property,
 )
-from clustertess.geometry import BallSide, ball_contains
-
-from helpers import exhaustive_delone, voronoi_vertices_brute_force
+from helpers import BallSide, ball_contains, exhaustive_delone, hardcore_isolated, voronoi_vertices_brute_force
 
 BIG = Window((-10.0, -10.0), (10.0, 10.0))
 
@@ -70,6 +68,30 @@ def test_hardcore_extracted_points_pairwise_separated():
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert np.linalg.norm(pts[i] - pts[j]) >= 0.1
+
+
+# coordinates snapped to a coarse grid make ties with r and cocircular
+# quadruples common
+COORDINATE = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 4.0))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    points=st.lists(st.tuples(COORDINATE, COORDINATE), max_size=15, unique=True),
+    r=st.sampled_from((0.05, 0.25, 0.5, 2.0)),
+)
+# two distinct points whose distance rounds to zero never block each other
+@example(points=[(0.0, 0.0), (5e-324, 0.0), (0.5, 0.5)], r=0.25)
+def test_hardcore_table_matches_scalar_predicate(points, r):
+    window = Window((0.0, 0.0), (1.0, 1.0))
+    eta = config(points, window)
+    prop = hardcore_property(r)
+    cfg = extract_clusters(prop, eta)
+    expected = [Cluster([p]) for p in map(tuple, eta.points) if hardcore_isolated(p, eta, r)]
+    assert list(cfg.clusters) == expected
+    assert cfg.boundary_uncertain == tuple(window.boundary_distance(c.points[0]) < r for c in expected)
+    # a singleton outside the support is no candidate, so no member
+    assert not prop.membership(Cluster([(2.0, 2.0)]), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +204,18 @@ def test_delone_matches_exhaustive_in_d3():
     corners = list(itertools.product((0.0, 1.0), repeat=3))
     assert_delone_matches_oracle(config(corners, window), (1.0,))
     assert_delone_matches_oracle(config(corners + [(0.5, 0.5, 0.5)], window), (1.0,))
-
-
-# coordinates snapped to a coarse grid make cocircular quadruples common
-COORDINATE = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 4.0))
+    # points over eight decades of scale, where Qhull's closed-ball
+    # triangulation misses a member
+    multi_scale = [
+        (1.3090736567531792e-10, 1.4020044584449044e-10, 2.807439231489775e-10),
+        (4.229709442014934e-10, 7.402405870844017e-10, 9.094144345855256e-10),
+        (8.574791149527639e-10, 1.139757795184868e-08, 2.7199074583481162e-08),
+        (4.534370584472262e-09, 8.229161262468085e-09, 6.56355197498123e-09),
+        (6.82609900786407e-07, 3.7256416635235466e-07, 2.726739385525023e-08),
+        (8.507308290949292e-07, 8.02486585118113e-07, 4.94292289273477e-07),
+        (0.05852438550101288, 0.030294160835701356, 0.07682780523368303),
+    ]
+    assert_delone_matches_oracle(config(multi_scale, window), (2.0,))
 
 
 @settings(max_examples=250, deadline=None)
@@ -196,6 +226,8 @@ COORDINATE = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 
 # a well-shaped triangle far below unit scale, alone and next to a unit-scale point
 @example(points=[(0, 0), (0, 1.1996980966642533e-54), (1.1996980966642533e-54, 0)], cap=0.3)
 @example(points=[(0, 0), (0, 1), (0, 1.175494351e-38), (1.1754943508222875e-38, 0)], cap=0.3)
+# near-cocircular around a thin triangle: Qhull keeps the two non-members
+@example(points=[(0.0, 0.0), (0.0, 0.5), (1e-09, 0.0), (0.25, 0.25)], cap=0.3)
 def test_delone_differential_against_exhaustive(points, cap):
     assert_delone_matches_oracle(config(points, Window((0.0, 0.0), (1.0, 1.0))), (cap,))
 

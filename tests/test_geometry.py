@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clustertess import (
@@ -12,8 +12,8 @@ from clustertess import (
     DegenerateSimplex,
     UnsupportedDimension,
     Window,
-    ball_contains,
     circumball,
+    circumballs,
     common_face_check,
     convex_hull_vertices,
     is_discrete_polytope,
@@ -21,9 +21,9 @@ from clustertess import (
     lattice_sites_in_window,
     make_rng,
 )
-from clustertess.geometry import BallSide, FaceRelation
+from clustertess.geometry import FaceRelation
 
-from helpers import lp_extreme_points
+from helpers import BallSide, ball_contains, lp_extreme_points
 
 
 def test_circumball_right_isoceles_triangle():
@@ -55,6 +55,50 @@ def test_circumball_degenerate_raises():
         circumball(Cluster([(0, 0), (1, 1)]))  # wrong cardinality for d=2
     with pytest.raises(DegenerateSimplex):  # subnormal pivot: no finite reciprocal
         circumball(Cluster([(0, 0), (0, 5e-324), (2.225073858507e-311, 0)]))
+
+
+def _bits(values) -> bytes:
+    """The exact bit pattern, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def simplex_batches(draw):
+    """One to six simplices in one dimension d = 1, 2, 3, at one scale
+    from 1e-12 to 1e12: uniform, quarter-grid or jittered quarter-grid
+    coordinates, so that pivots tie and vanish."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from((1e-12, 1e-6, 1.0, 1e6, 1e12)))
+    coordinate = st.one_of(
+        st.floats(-1.0, 1.0),
+        st.integers(-4, 4).map(lambda k: k / 4.0),
+        st.integers(-4, 4).map(lambda k: k / 4.0 + 1e-9),
+    )
+    point = st.tuples(*[coordinate] * d).map(lambda p: tuple(c * scale for c in p))
+    batch = draw(st.lists(st.lists(point, min_size=d + 1, max_size=d + 1), min_size=1, max_size=6))
+    assume(all(len(set(simplex)) == d + 1 for simplex in batch))
+    return batch
+
+
+@settings(max_examples=400, deadline=None)
+@given(batch=simplex_batches())
+# subnormal pivot, whose reciprocal overflows
+@example(batch=[[(0.0, 0.0), (0.0, 5e-324), (2.225073858507e-311, 0.0)]])
+# a well-shaped triangle far below unit scale
+@example(batch=[[(0.0, 0.0), (0.0, 1.1996980966642533e-54), (1.1996980966642533e-54, 0.0)]])
+# its radius differs by one ulp when a term is squared by x * x, not pow
+@example(batch=[[(0.705, 0.115), (0.771, 0.513), (0.291, 0.61)]])
+def test_circumballs_match_circumball_bitwise(batch):
+    centers, radii, ok = circumballs(np.array(batch, dtype=float))
+    for k, simplex in enumerate(batch):
+        try:
+            ball = circumball(Cluster(simplex))
+        except DegenerateSimplex:
+            assert not ok[k]
+            continue
+        assert ok[k]
+        assert _bits(centers[k]) == _bits(ball.center)
+        assert _bits(radii[k]) == _bits(ball.radius)
 
 
 def test_circumball_permutation_order_independence():

@@ -246,6 +246,27 @@ def test_window_derived_arrays_stay_out_of_identity():
     assert a.contains([(0.0, 3.0), (2.0, -1.5)]).tolist() == [True, False]
 
 
+def test_window_rejects_nan():
+    # NaN compares false both ways, so each check must fail closed
+    for low, high, margin in (
+        ((math.nan, 0.0), (1.0, 1.0), 0.0),
+        ((0.0, 0.0), (1.0, math.nan), 0.0),
+        ((0.0, 0.0), (1.0, 1.0), math.nan),
+    ):
+        with pytest.raises(ValueError):
+            Window(low, high, margin)
+
+
+def test_discrete_intensity_site_array_stays_out_of_identity():
+    a = DiscreteIntensity(((0, 1), (2, 3)), 1.0)
+    b = DiscreteIntensity(((0.0, 1.0), (2.0, 3.0)), 1.0)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "DiscreteIntensity(sites=((0.0, 1.0), (2.0, 3.0)), c=1.0)"
+    assert a._site_array.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError):
+        a._site_array[0, 0] = 5.0
+
+
 def test_barycentre_shift_cases():
     window = Window((-10, -10), (10, 10))
     sites = [(0.0, 0.0), (5.0, 0.0)]

@@ -153,6 +153,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         json.dumps({**record, "replication": None}): "replication",
         json.dumps({**record, "window": {**record["window"], "low": 5}}): "window.low",
         json.dumps({**record, "window": {**record["window"], "buffer_margin": [1]}}): "window.buffer_margin",
+        json.dumps({**record, "window": {**record["window"], "low": [math.nan, 0.0]}}): "low < high",
     }
     commands = (("tessellate", "--property", "delone", "--radius-cap", "1"), ("validate",), ("render",))
     capsys.readouterr()
