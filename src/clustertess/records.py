@@ -126,13 +126,38 @@ def _is_coordinate_list(value) -> bool:
     return type(value) is list and all(map(_is_number, value))
 
 
-# the JSON content each window field may hold
+def _is_point_list(value) -> bool:
+    return type(value) is list and all(map(_is_coordinate_list, value))
+
+
+def _is_flag(value) -> bool:
+    return value is None or type(value) is bool
+
+
+def _is_optional_number(value) -> bool:
+    return value is None or _is_number(value)
+
+
+def _is_index_pairs(value) -> bool:
+    return type(value) is list and all(
+        type(p) is list and len(p) == 2 and all(type(i) is int for i in p) for p in value
+    )
+
+
+# the JSON content each window field, cluster field and report field may
+# hold; a report field may also be absent, which reads as its default
 _WINDOW_FIELDS = {"low": _is_coordinate_list, "high": _is_coordinate_list, "buffer_margin": _is_number}
+_CLUSTER_FIELDS = {"points": _is_point_list, "boundary_uncertain": lambda v: type(v) is bool}
+_REPORT_FIELDS = {
+    "face_to_face": _is_flag, "violations": _is_index_pairs, "simplicial": _is_flag,
+    "covered_fraction": _is_optional_number, "coverage_se": _is_optional_number, "holes_detected": _is_flag,
+}
 
 
 def _check_shape(record) -> None:
     """Raise ValueError naming the first field of a parsed record whose
-    JSON type `record_to_objects` cannot take, window content included."""
+    JSON type `record_to_objects` cannot take, the content of the
+    window, of each cluster and of the report included."""
     if type(record) is not dict:
         raise ValueError(f"a record must be a JSON object, got {json.dumps(record)[:40]}")
     for field, types in _FIELD_TYPES.items():
@@ -145,6 +170,14 @@ def _check_shape(record) -> None:
     for k, entry in enumerate(record.get("clusters") or ()):
         if type(entry) is not dict:
             raise ValueError(f"record field 'clusters[{k}]' must be a JSON object, got {json.dumps(entry)[:40]}")
+        for key, valid in _CLUSTER_FIELDS.items():
+            value = entry.get(key)
+            if not valid(value):
+                raise ValueError(f"record field 'clusters[{k}].{key}' cannot be {json.dumps(value)[:40]}")
+    report = record.get("report") or {}
+    for key, valid in _REPORT_FIELDS.items():
+        if key in report and not valid(report[key]):
+            raise ValueError(f"record field 'report.{key}' cannot be {json.dumps(report[key])[:40]}")
 
 
 def record_to_objects(

@@ -119,6 +119,8 @@ def check_face_to_face(cfg: ClusterConfiguration, eps: float = EPS_GEOM) -> Tess
 _PROPER, _IMPROPER, _UNDECIDED = 0, 1, -1
 # pairs decided per batch, which bounds the working memory
 _BLOCK = 4096
+# swept box pairs tested per block, which bounds the sweep's memory
+_SWEEP_BLOCK = 1 << 20
 # the scalar test solves each d-subset of the two simplices' facet
 # planes whose unit normals have |det| >= SINGULAR_DET; below this
 # bound such a solve can land up to 1e-7 off, beyond its tolerance, so
@@ -131,19 +133,23 @@ _MIN_AXIS_SINE = 1e-6
 
 
 def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float):
-    """Index pairs (i, j), i < j, ascending, whose boxes overlap within atol."""
+    """Index pairs (i, j), i < j, ascending, whose boxes overlap within
+    atol. The x sweep's pairs are tested in blocks of at most about
+    _SWEEP_BLOCK, and only the kept ones are gathered."""
     order = np.argsort(lows[:, 0], kind="stable")
     start = np.arange(1, len(order) + 1)
     # 2 atol: a superset of the exact test below, whatever its rounding
     stop = np.searchsorted(lows[order, 0], highs[order, 0] + 2 * atol, side="right")
     counts = np.maximum(stop - start, 0)
-    first = np.repeat(np.arange(len(order)), counts)
-    second = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    second += np.repeat(start, counts)
-    a, b = order[first], order[second]
-    i, j = np.minimum(a, b), np.maximum(a, b)
-    keep = np.all((lows[j] <= highs[i] + atol) & (highs[j] >= lows[i] - atol), axis=1)
-    i, j = i[keep], j[keep]
+    kept_i, kept_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for block in _blocks(counts, _SWEEP_BLOCK):
+        a = order[np.repeat(np.arange(block.start, block.stop), counts[block])]
+        b = order[_ranges(start[block], counts[block])]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        keep = np.all((lows[j] <= highs[i] + atol) & (highs[j] >= lows[i] - atol), axis=1)
+        kept_i.append(i[keep])
+        kept_j.append(j[keep])
+    i, j = np.concatenate(kept_i), np.concatenate(kept_j)
     ranked = np.lexsort((j, i))
     return i[ranked], j[ranked]
 
@@ -294,44 +300,23 @@ def hull_contains_points(
     """Membership of query points in the convex hull of a cluster.
 
     Supports intervals (d = 1), convex polygons (d = 2, any vertex
-    count) and simplices in d = 3. Implemented with inward halfspace
-    tests; the barycentric-coordinate route stays available to tests as
-    an independent oracle.
+    count) and simplices in d = 3, each by inward halfspace tests with
+    tolerance tol = eps * max(1, largest vertex coordinate magnitude):
+
+    - d = 1: the interval from the lowest to the highest vertex, +- tol;
+    - d = 2: the vertices ordered by angle about their centroid, and
+      edge x (q - a) >= -tol * max(1, |edge|) for each edge a -> a + edge;
+    - d = 3: the `_facet_halfspaces` planes, offset outward by tol; a
+      flat simplex (`DegenerateSimplex`) contains nothing.
+
+    For d > 1 a cluster of fewer than d + 1 points contains nothing; a
+    larger one in d = 3 that is not a simplex, or one in d > 3, raises
+    `UnsupportedDimension`. This is the kernel of `covered_fraction` run
+    on one cluster; the
+    barycentric-coordinate route stays available to tests as an
+    independent oracle.
     """
-    pts = cluster.as_array()
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    d = cluster.dimension
-    scale = max(1.0, float(np.abs(pts).max()))
-    tol = eps * scale
-    if d == 1:
-        lo, hi = pts.min(), pts.max()
-        return (q[:, 0] >= lo - tol) & (q[:, 0] <= hi + tol)
-    if len(pts) < d + 1:
-        return np.zeros(len(q), dtype=bool)  # measure-zero hull
-    if d == 2:
-        centroid = pts.mean(axis=0)
-        angles = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
-        ring = pts[np.argsort(angles, kind="stable")]
-        inside = np.ones(len(q), dtype=bool)
-        for k in range(len(ring)):
-            a = ring[k]
-            b = ring[(k + 1) % len(ring)]
-            edge = b - a
-            cross = edge[0] * (q[:, 1] - a[1]) - edge[1] * (q[:, 0] - a[0])
-            inside &= cross >= -tol * max(1.0, float(np.linalg.norm(edge)))
-        return inside
-    if d == 3:
-        if len(pts) != 4:
-            raise UnsupportedDimension("3D hull membership is implemented for simplices only")
-        try:
-            halfspaces = _facet_halfspaces(cluster.points, eps)
-        except DegenerateSimplex:
-            return np.zeros(len(q), dtype=bool)  # flat simplex, measure-zero hull
-        inside = np.ones(len(q), dtype=bool)
-        for normal, offset in halfspaces:
-            inside &= q @ normal <= offset + tol
-        return inside
-    raise UnsupportedDimension(f"hull membership not implemented for d = {d}")
+    return _hull_cover((cluster,), np.atleast_2d(np.asarray(queries, dtype=float)), eps)
 
 
 def covered_fraction(
@@ -344,6 +329,13 @@ def covered_fraction(
     """Monte-Carlo estimate of the fraction of the (buffer-eroded)
     window covered by the union of the cluster hulls.
 
+    A sample is covered when `hull_contains_points` holds for it and
+    some cluster. All (sample, cluster) pairs are decided in one pass:
+    each cluster meets only the samples in its bounding box, padded by
+    a bound on how far its tolerance reaches past its hull. An
+    unsupported cluster raises `UnsupportedDimension` wherever it stands
+    in the configuration.
+
     Returns (fraction, standard error).
     """
     if n_samples < 1:
@@ -351,16 +343,186 @@ def covered_fraction(
     region = window.erode(window.buffer_margin) if window.buffer_margin > 0 else window
     rng = make_rng(seed)
     samples = np.asarray(region.low) + rng.random((n_samples, region.dimension)) * region.extent()
-    covered = np.zeros(n_samples, dtype=bool)
-    for cluster in cfg.clusters:
-        remaining = ~covered
-        if not np.any(remaining):
-            break
-        hits = hull_contains_points(cluster, samples[remaining], eps)
-        covered[np.nonzero(remaining)[0][hits]] = True
+    covered = _hull_cover(cfg.clusters, samples, eps)
     fraction = float(covered.mean())
     se = float(np.sqrt(fraction * (1.0 - fraction) / n_samples))
     return fraction, se
+
+
+# swept (query, cluster vertex) pairs decided per block, which bounds
+# the working memory of the coverage kernel
+_COVER_BLOCK = 1 << 18
+# a bound on the rounding of the membership expressions relative to the
+# largest coordinate involved (they err by a few ulps), with a margin
+_ROUNDING = 2.0**-40
+
+
+def _hull_cover(clusters, queries: np.ndarray, eps: float) -> np.ndarray:
+    """Per query point, whether it lies in the hull of some cluster, by
+    the tests of `hull_contains_points`.
+
+    The clusters are grouped by dimension and point count. Each group
+    gives every cluster a box, the box of its vertices padded by the
+    reach of its tolerance (see `_reach`); the queries are sorted on x,
+    each box takes its x range by `searchsorted` and the other axes
+    filter those, and the group's test decides the pairs left, in
+    blocks of clusters whose swept pairs times the point count stay
+    within _COVER_BLOCK.
+    """
+    groups = {}
+    for cluster in clusters:
+        d, n = cluster.dimension, len(cluster)
+        if d > 1 and n < d + 1:
+            continue  # measure-zero hull
+        if d == 3 and n != 4:
+            raise UnsupportedDimension("3D hull membership is implemented for simplices only")
+        if d > 3:
+            raise UnsupportedDimension(f"hull membership not implemented for d = {d}")
+        groups.setdefault((d, n), []).append(cluster)
+    order = np.argsort(queries[:, 0], kind="stable")
+    q = queries[order]
+    axes = q.T.copy()  # one contiguous column per axis
+    size = float(np.abs(q).max(initial=1.0))
+    inside = np.zeros(len(q), dtype=bool)
+    for (d, n), members in groups.items():
+        lows, highs, test = _GROUP_TESTS[d](members, eps, size)
+        lows, highs = lows.T.copy(), highs.T.copy()
+        first = np.searchsorted(axes[0], lows[0], side="left")
+        counts = np.maximum(np.searchsorted(axes[0], highs[0], side="right") - first, 0)
+        for block in _blocks(counts, _COVER_BLOCK // n):
+            c = np.repeat(np.arange(block.start, block.stop), counts[block])
+            s = _ranges(first[block], counts[block])
+            keep = np.ones(len(s), dtype=bool)
+            for axis in range(1, d):
+                value = axes[axis][s]
+                keep &= (value >= lows[axis][c]) & (value <= highs[axis][c])
+            c, s = c[keep], s[keep]
+            inside[s[test(c, q[s])]] = True
+    covered = np.empty(len(q), dtype=bool)
+    covered[order] = inside
+    return covered
+
+
+def _interval_group(members, eps: float, size: float):
+    """d = 1: the box is the test itself."""
+    pts = np.array([c.points for c in members], dtype=float)[:, :, 0]
+    tol = eps * np.maximum(1.0, np.abs(pts).max(axis=1))
+    lo, hi = pts.min(axis=1) - tol, pts.max(axis=1) + tol
+
+    def test(c, q):
+        return (q[:, 0] >= lo[c]) & (q[:, 0] <= hi[c])
+
+    return lo[:, None], hi[:, None], test
+
+
+def _polygon_group(members, eps: float, size: float):
+    """d = 2, polygons of one vertex count."""
+    pts = np.array([c.points for c in members], dtype=float)
+    scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
+    tol = eps * scale
+    centroid = pts.mean(axis=1)
+    angles = np.arctan2(pts[:, :, 1] - centroid[:, 1:], pts[:, :, 0] - centroid[:, :1])
+    ring = np.take_along_axis(pts, np.argsort(angles, axis=1, kind="stable")[..., None], axis=1)
+    edge = np.roll(ring, -1, axis=1) - ring
+    # through np.linalg.norm's own dot product, so the lengths match it
+    length = np.sqrt((edge[..., None, :] @ edge[..., :, None])[..., 0, 0])
+    bound = -tol[:, None] * np.maximum(1.0, length)
+
+    def test(c, q):
+        return np.all(_cross(ring[c], edge[c], q[:, None]) >= bound[c], axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # edges too short to measure
+        depth = _cross(ring, edge, centroid[:, None]) / length
+        slack = -bound / length
+    reach = _reach(pts, centroid, depth, slack, np.maximum(size, scale))
+    return pts.min(axis=1) - reach[:, None], pts.max(axis=1) + reach[:, None], test
+
+
+def _simplex_group(members, eps: float, size: float):
+    """d = 3, simplices; a flat one contains nothing and gets an empty box."""
+    pts = np.array([c.points for c in members], dtype=float)
+    scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
+    tol = eps * scale
+    centroid = pts.mean(axis=1)
+    planes, depth, slack = [], np.full((len(pts), 4), np.nan), np.full((len(pts), 4), np.nan)
+    for k, cluster in enumerate(members):
+        try:
+            halfspaces = _facet_halfspaces(cluster.points, eps)
+        except DegenerateSimplex:
+            halfspaces = []
+        planes.append(halfspaces)
+        for f, (normal, offset) in enumerate(halfspaces):
+            # a near-flat facet's plane can miss its other vertices by
+            # more than rounding: measure at the lowest of them
+            low = (np.delete(pts[k], f, axis=0) @ normal).min()
+            depth[k, f] = low - centroid[k] @ normal
+            slack[k, f] = tol[k] + offset - low
+    reach = _reach(pts, centroid, depth, slack, np.maximum(size, scale))
+    lows, highs = pts.min(axis=1) - reach[:, None], pts.max(axis=1) + reach[:, None]
+    flat = [k for k, halfspaces in enumerate(planes) if not halfspaces]
+    lows[flat], highs[flat] = np.inf, -np.inf
+
+    def test(c, q):
+        # the pairs of one cluster are consecutive; each run is tested as
+        # the scalar test does, one matrix-vector product per plane
+        inside = np.ones(len(c), dtype=bool)
+        runs = np.flatnonzero(np.diff(c, prepend=-1, append=-1))
+        for a, b in zip(runs[:-1], runs[1:]):
+            for normal, offset in planes[c[a]]:
+                inside[a:b] &= q[a:b] @ normal <= offset + tol[c[a]]
+        return inside
+
+    return lows, highs, test
+
+
+_GROUP_TESTS = {1: _interval_group, 2: _polygon_group, 3: _simplex_group}
+
+
+def _cross(a: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """e x (q - a) in 2D, positive where q lies left of the line a -> a + e."""
+    return e[..., 0] * (q[..., 1] - a[..., 1]) - e[..., 1] * (q[..., 0] - a[..., 0])
+
+
+def _reach(pts, centre, depth, slack, size) -> np.ndarray:
+    """Per cluster, how far its tolerant test can accept a point beyond
+    the hull of its vertices, or inf where no bound is proven.
+
+    depth: (m, f) the least distance of the vertices of facet f beyond
+    the centre, along the unit normal of the test's plane for f; slack:
+    (m, f) how far past those vertices that plane lets the test accept.
+    Cone the space from the centre over the facets: in the cone of
+    facet f a point the test accepts lies within (slack + rounding) /
+    (depth - rounding) times R of that facet, R the centre's largest
+    distance to a vertex. The rounding of every expression stays below
+    delta = _ROUNDING * size (size: the largest coordinate magnitude of
+    the cluster and the queries), hence a reach of
+    2 (slack + 2 delta) R / depth + delta once depth >= 4 delta. A flat
+    or near-flat cluster fails that test and is tried on every query.
+    """
+    delta = _ROUNDING * size
+    radius = np.sqrt(((pts - centre[:, None]) ** 2).sum(axis=2)).max(axis=1)
+    inner = depth.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        reach = 2.0 * (slack.max(axis=1) + 2.0 * delta) * radius / inner + delta
+    return np.where((inner >= 4.0 * delta) & (reach < np.inf), reach, np.inf)
+
+
+def _blocks(counts: np.ndarray, cap: int):
+    """Consecutive slices of `counts` whose sums stay within cap; a
+    single count above cap forms a block of its own."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + n) over (s, n) in zip(starts, counts)."""
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return offsets + np.repeat(starts, counts)
 
 
 def build_report(

@@ -6,12 +6,14 @@ closed-form determinant circumcenters instead of the elimination
 solver, linear feasibility instead of Qhull, barycentric signs instead
 of halfspace tests, the scalar face test on every pair instead of the
 batched face-to-face validator, the full (n, m) double loop instead of
-the banded length decomposition.
+the banded length decomposition, and the per-cluster coverage loop
+instead of the box-filtered coverage pass.
 
 The scalar predicates the batched production code replaced live here
 as oracles too: the ball trichotomy and the hard-core isolation test
-scan every point, and `circumball`, the scalar elimination, checks the
-batched `circumballs` bit for bit.
+scan every point, `circumball`, the scalar elimination, checks the
+batched `circumballs` bit for bit, and the per-cluster hull test and
+coverage loop check the batched coverage kernel bit for bit.
 """
 
 import itertools
@@ -27,10 +29,12 @@ from clustertess import (
     Cluster,
     DegenerateSimplex,
     EPS_GEOM,
+    UnsupportedDimension,
     circumball,
     common_face_check,
+    make_rng,
 )
-from clustertess.geometry import FaceRelation
+from clustertess.geometry import FaceRelation, _facet_halfspaces
 
 
 class BallSide(Enum):
@@ -107,6 +111,63 @@ def face_to_face_violations_all_pairs(cfg):
         for i, j in itertools.combinations(range(len(cfg.clusters)), 2)
         if common_face_check(cfg.clusters[i], cfg.clusters[j]) is FaceRelation.IMPROPER
     )
+
+
+def hull_contains_points_scalar(cluster, queries, eps=EPS_GEOM):
+    """Membership of query points in the hull of one cluster, by inward
+    halfspace tests built for that cluster alone."""
+    pts = cluster.as_array()
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    d = cluster.dimension
+    scale = max(1.0, float(np.abs(pts).max()))
+    tol = eps * scale
+    if d == 1:
+        lo, hi = pts.min(), pts.max()
+        return (q[:, 0] >= lo - tol) & (q[:, 0] <= hi + tol)
+    if len(pts) < d + 1:
+        return np.zeros(len(q), dtype=bool)  # measure-zero hull
+    if d == 2:
+        centroid = pts.mean(axis=0)
+        angles = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
+        ring = pts[np.argsort(angles, kind="stable")]
+        inside = np.ones(len(q), dtype=bool)
+        for k in range(len(ring)):
+            a = ring[k]
+            b = ring[(k + 1) % len(ring)]
+            edge = b - a
+            cross = edge[0] * (q[:, 1] - a[1]) - edge[1] * (q[:, 0] - a[0])
+            inside &= cross >= -tol * max(1.0, float(np.linalg.norm(edge)))
+        return inside
+    if d == 3:
+        if len(pts) != 4:
+            raise UnsupportedDimension("3D hull membership is implemented for simplices only")
+        try:
+            halfspaces = _facet_halfspaces(cluster.points, eps)
+        except DegenerateSimplex:
+            return np.zeros(len(q), dtype=bool)  # flat simplex, measure-zero hull
+        inside = np.ones(len(q), dtype=bool)
+        for normal, offset in halfspaces:
+            inside &= q @ normal <= offset + tol
+        return inside
+    raise UnsupportedDimension(f"hull membership not implemented for d = {d}")
+
+
+def covered_fraction_loop(cfg, window, n_samples, seed, eps=EPS_GEOM):
+    """`covered_fraction` by one `hull_contains_points_scalar` call per
+    cluster on the samples no earlier cluster covers."""
+    region = window.erode(window.buffer_margin) if window.buffer_margin > 0 else window
+    rng = make_rng(seed)
+    samples = np.asarray(region.low) + rng.random((n_samples, region.dimension)) * region.extent()
+    covered = np.zeros(n_samples, dtype=bool)
+    for cluster in cfg.clusters:
+        remaining = ~covered
+        if not np.any(remaining):
+            break
+        hits = hull_contains_points_scalar(cluster, samples[remaining], eps)
+        covered[np.nonzero(remaining)[0][hits]] = True
+    fraction = float(covered.mean())
+    se = float(np.sqrt(fraction * (1.0 - fraction) / n_samples))
+    return fraction, se
 
 
 def circumcenter_determinant(a, b, c):

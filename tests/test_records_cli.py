@@ -154,6 +154,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         json.dumps({**record, "window": {**record["window"], "low": 5}}): "window.low",
         json.dumps({**record, "window": {**record["window"], "buffer_margin": [1]}}): "window.buffer_margin",
         json.dumps({**record, "window": {**record["window"], "low": [math.nan, 0.0]}}): "low < high",
+        json.dumps({**record, "clusters": [{**triangle, "points": 5}]}): "clusters[0].points",
+        json.dumps({**record, "clusters": [{**triangle, "boundary_uncertain": [1]}]}): "clusters[0].boundary_uncertain",
+        json.dumps({**record, "report": {"violations": 5}}): "report.violations",
+        json.dumps({**record, "report": {"covered_fraction": "x"}}): "report.covered_fraction",
     }
     commands = (("tessellate", "--property", "delone", "--radius-cap", "1"), ("validate",), ("render",))
     capsys.readouterr()

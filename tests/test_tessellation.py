@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from clustertess import (
     Cluster,
     ClusterConfiguration,
     DegenerateSimplex,
+    EPS_GEOM,
     NonSimplicialInput,
     PointConfiguration,
+    UnsupportedDimension,
     Window,
     build_report,
     check_face_to_face,
@@ -28,8 +31,14 @@ from clustertess import (
     voronoi_cell_centers,
     voronoi_property,
 )
+from clustertess import tessellation
 
-from helpers import barycentric_inside, face_to_face_violations_all_pairs
+from helpers import (
+    barycentric_inside,
+    covered_fraction_loop,
+    face_to_face_violations_all_pairs,
+    hull_contains_points_scalar,
+)
 
 UNIT = Window((0.0, 0.0), (1.0, 1.0))
 
@@ -160,6 +169,20 @@ def test_face_to_face_matches_all_pairs_oracle(cfg):
     assert got == outcome(face_to_face_violations_all_pairs), [c.points for c in cfg.clusters]
 
 
+def test_box_overlap_pairs_blocks_match_one_sweep(monkeypatch):
+    rng = make_rng(5)
+    lows = rng.random((300, 2)) * 4
+    highs = lows + rng.random((300, 2)) * 0.6
+    atol = 1e-9
+    i, j = np.triu_indices(len(lows), 1)
+    keep = np.all((lows[j] <= highs[i] + atol) & (highs[j] >= lows[i] - atol), axis=1)
+    want = (i[keep], j[keep])
+    for cap in (1, 7, 1 << 20):
+        monkeypatch.setattr(tessellation, "_SWEEP_BLOCK", cap)
+        got = tessellation._box_overlap_pairs(lows, highs, atol)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_covered_fraction_full_and_empty():
     window = Window((0.4, 0.4), (0.6, 0.6))
     big_triangle = ClusterConfiguration(
@@ -214,6 +237,15 @@ def test_hull_membership_polygon():
     assert hull_contains_points(square, queries).tolist() == [True, True, False, False]
 
 
+def test_hull_membership_measures_edges_as_the_scalar_test():
+    # a query on the tolerance boundary of an edge longer than 1, where
+    # a sum of squares and np.linalg.norm's BLAS dot product can give
+    # lengths an ulp apart
+    triangle = Cluster([(0.0, 0.0), (1.521147, 0.823946), (0.0, 2.0)])
+    q = np.array([[0.0, -2.2745519429032126e-09]])
+    assert np.array_equal(hull_contains_points(triangle, q), hull_contains_points_scalar(triangle, q))
+
+
 def test_build_report_full():
     eta = sample_poisson_homogeneous(60.0, UNIT, 23)
     cfg = extract_clusters(delone_property(0.25), eta)
@@ -252,3 +284,102 @@ def test_voronoi_certain_cells_cover_their_region():
     se = np.sqrt(fraction * (1 - fraction) / len(samples))
     assert fraction >= 1.0 - 4 * se
     assert misses <= len(samples) * 0.01
+
+
+@st.composite
+def hull_configurations(draw):
+    """Clusters for the coverage kernel in d = 1, 2, 3: point sets of
+    every size the kernel takes, fewer than d + 1 points included,
+    convex polygons of 3 to 8 vertices like Voronoi cells, and slivers
+    and flat simplices. Most coordinates sit on a quarter grid, some
+    just off it."""
+    d = draw(st.integers(1, 3), label="d")
+    grid = st.integers(0, 8).map(lambda k: k / 4)
+    coordinate = st.one_of(
+        grid,
+        st.builds(lambda c, shift: c + shift, grid, st.sampled_from([-1e-7, -1e-9, 1e-9, 1e-7])),
+        st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    point = st.tuples(*[coordinate] * d)
+    clusters = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["points", "polygon", "sliver"]))
+        if kind == "polygon" and d == 2:
+            k = draw(st.integers(3, 8))
+            (cx, cy), radius = draw(point), draw(st.floats(0.01, 1.5))
+            turns = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k, unique=True))
+            pts = [(cx + radius * math.cos(2 * math.pi * t), cy + radius * math.sin(2 * math.pi * t)) for t in turns]
+        elif kind == "sliver":
+            # d + 1 points, the last one on or just off the others' affine hull
+            base = draw(st.lists(point, min_size=d, max_size=d, unique=True))
+            steps = draw(st.lists(st.floats(-0.5, 1.5), min_size=d - 1, max_size=d - 1))
+            lift = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7]))
+            apex = [base[0][a] + sum(t * (p[a] - base[0][a]) for t, p in zip(steps, base[1:])) for a in range(d)]
+            apex[-1] += lift
+            pts = base + [tuple(apex)]
+        else:
+            pts = draw(st.lists(point, min_size=1, max_size={1: 3, 2: 8, 3: 4}[d], unique=True))
+        try:
+            clusters.append(Cluster(pts))
+        except ValueError:  # a repeated or non-finite point
+            pass
+    clusters = list(dict.fromkeys(clusters))
+    margin = draw(st.sampled_from([0.0, 0.25]))
+    return ClusterConfiguration(clusters, [False] * len(clusters), Window((0.0,) * d, (2.0,) * d, margin))
+
+
+def cover_case(*clusters):
+    d = len(clusters[0][0])
+    cfg = [Cluster(c) for c in clusters]
+    return ClusterConfiguration(cfg, [False] * len(cfg), Window((0.0,) * d, (2.0,) * d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=hull_configurations(), n_samples=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+# the triangle `circumball` accepts and `_facet_halfspaces` rejects
+@example(cfg=cover_case([(2, 0.8167681913491067), (1.500000001, 1.499999999), (1.499999999, 1.5)]), n_samples=50, seed=1)
+# an edge too short to measure, and a flat tetrahedron
+@example(cfg=cover_case([(0.0, 0.0), (5e-324, 0.0), (0.5, 0.5)]), n_samples=50, seed=1)
+@example(cfg=cover_case([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.5, 0.5, 0)]), n_samples=50, seed=1)
+def test_coverage_matches_scalar_loop(cfg, n_samples, seed):
+    # bitwise: the same samples, covered by the same expressions
+    d = cfg.source_window.dimension
+    ticks = np.arange(-1, 10) / 4  # quarter-grid queries, many on edges and facets
+    grid = np.stack(np.meshgrid(*[ticks] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    queries = np.concatenate([grid, make_rng(seed).random((200, d)) * 3 - 0.5])
+    union = np.zeros(len(queries), dtype=bool)
+    for cluster in cfg.clusters:
+        want = hull_contains_points_scalar(cluster, queries)
+        assert np.array_equal(hull_contains_points(cluster, queries), want), cluster.points
+        union |= want
+    assert np.array_equal(tessellation._hull_cover(cfg.clusters, queries, EPS_GEOM), union)
+    got = covered_fraction(cfg, cfg.source_window, n_samples, seed)
+    want = covered_fraction_loop(cfg, cfg.source_window, n_samples, seed)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_coverage_blocks_match_one_pass(monkeypatch):
+    eta = sample_poisson_homogeneous(150.0, UNIT, 41)
+    cfg = extract_clusters(delone_property(0.15), eta)
+    want = covered_fraction_loop(cfg, UNIT, 1500, 9)
+    for cap in (1, 50):
+        monkeypatch.setattr(tessellation, "_COVER_BLOCK", cap)
+        assert covered_fraction(cfg, UNIT, 1500, 9) == want
+
+
+def test_coverage_rejects_unsupported_clusters_anywhere():
+    # the first tetrahedron covers every sample, so a per-cluster loop
+    # never reaches the second cluster; the kernel checks all of them
+    window = Window((0.0,) * 3, (1.0,) * 3)
+    big = Cluster([(-10, -10, -10), (30, -10, -10), (-10, 30, -10), (-10, -10, 30)])
+    unsupported = (
+        Cluster([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+        Cluster([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    )
+    for cluster in unsupported:
+        cfg = ClusterConfiguration([big, cluster], [False, False], window)
+        assert covered_fraction_loop(cfg, window, 100, 1) == (1.0, 0.0)
+        with pytest.raises(UnsupportedDimension):
+            covered_fraction(cfg, window, 100, 1)
+        with pytest.raises(UnsupportedDimension):
+            hull_contains_points(cluster, np.zeros((1, 3)))
