@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 config error, 2 runtime error, 3 test failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from functools import partial
@@ -34,6 +35,7 @@ from .records import (
     parse_records,
     read_records_file,
     record_to_objects,
+    report_to_dict,
     write_text_atomic,
 )
 from .render import render_record
@@ -225,17 +227,7 @@ def cmd_validate(args) -> int:
         )
         if report.face_to_face is False:
             failed = True
-        lines.append(
-            {
-                "replication": int(rec["replication"]),
-                "face_to_face": report.face_to_face,
-                "violations": [list(v) for v in report.violations],
-                "simplicial": report.simplicial,
-                "covered_fraction": report.covered_fraction,
-                "coverage_se": report.coverage_se,
-                "holes_detected": report.holes_detected,
-            }
-        )
+        lines.append({"replication": int(rec["replication"]), **report_to_dict(report)})
     _emit(res.get("out", str), "".join(dumps_value(line) + "\n" for line in lines))
     return EXIT_TESTFAIL if failed else EXIT_OK
 
@@ -324,15 +316,7 @@ def cmd_stats(args) -> int:
         )
     else:
         raise ConfigError(f"unknown stats test {test!r}")
-    line = {
-        "name": report.name,
-        "statistic": report.statistic,
-        "threshold": report.threshold,
-        "n_samples": report.n_samples,
-        "passed": report.passed,
-        "details": report.details,
-    }
-    _emit(res.get("out", str), dumps_value(line) + "\n")
+    _emit(res.get("out", str), dumps_value(dataclasses.asdict(report)) + "\n")
     return EXIT_OK if report.passed else EXIT_TESTFAIL
 
 

@@ -11,7 +11,8 @@ The built-in properties decide a whole configuration at once. Each
 builds one table per configuration, {candidate: (member, uncertain)},
 from batched numpy and kd-tree work over index rows into the points,
 and its callables read that table. A cluster that is not a candidate,
-in particular one outside the support, reads non-member.
+in particular one outside the support, reads non-member. The Delone
+table also holds each candidate's circumball, its certainty ball.
 
 Two modes exist: clusters *in* a configuration are subsets of its
 support (Delone simplices, hard-core singletons), clusters *for* a
@@ -29,7 +30,11 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import NotSimple, UnsupportedDimension
-from .geometry import EPS_GEOM, Ball, Cluster, circumball, circumballs, is_discrete_polytope
+from .geometry import EPS_GEOM, Ball, Cluster, circumballs, is_discrete_polytope
+
+# not called here: the benchmark's tracer still counts calls through
+# this binding (`benchmarks/spans.py`), and fails when it is missing
+from .geometry import circumball  # noqa: F401
 from .pointproc import PointConfiguration, Window
 
 
@@ -48,7 +53,9 @@ class ClusterProperty:
 
     `certainty_ball`, when present, returns the ball whose containment
     in the window is equivalent to the cluster being boundary-certain;
-    the intensity scan uses it for border correction.
+    the intensity scan uses it for border correction. The Delone
+    property reads it from its table, so there it is defined for
+    candidates only.
     """
 
     name: str
@@ -110,14 +117,10 @@ class ClusterConfiguration:
         return f"ClusterConfiguration({len(self.clusters)} clusters, {n_unc} uncertain)"
 
 
-def extract_clusters(
-    prop: ClusterProperty,
-    eta: PointConfiguration,
-    mode: Optional[PropertyMode] = None,
-) -> ClusterConfiguration:
+def extract_clusters(prop: ClusterProperty, eta: PointConfiguration) -> ClusterConfiguration:
     """All clusters the property admits, canonically sorted and flagged."""
-    effective = prop.mode if mode is None else mode
-    if effective is PropertyMode.IN_CONFIGURATION and not eta.is_simple:
+    in_configuration = prop.mode is PropertyMode.IN_CONFIGURATION
+    if in_configuration and not eta.is_simple:
         raise NotSimple("clusters in a configuration require a simple configuration")
     support_set = set(map(tuple, eta.points))
     seen = set()
@@ -126,9 +129,7 @@ def extract_clusters(
         if cand in seen:
             continue
         seen.add(cand)
-        if effective is PropertyMode.IN_CONFIGURATION and not all(
-            p in support_set for p in cand.points
-        ):
+        if in_configuration and not all(p in support_set for p in cand.points):
             continue
         if prop.membership(cand, eta):
             accepted.append(cand)
@@ -152,17 +153,23 @@ _REACH = 1.0 + 1e-12
 _REACH_FLOOR = 1e-150
 
 
-def _table_property(name: str, mode: PropertyMode, build: Callable, certainty_ball=None) -> ClusterProperty:
-    """A property whose callables read `build(eta)`, a dict {candidate:
-    (member, uncertain)} in enumeration order. It is built once for the
-    configuration last asked about, matched by identity (configurations
-    are immutable); nothing outlives the property."""
+def _memo(build: Callable) -> Callable[[PointConfiguration], dict]:
+    """`build(eta)`, a dict {candidate: (member, uncertain, ...)} in
+    enumeration order, built once for the configuration last asked
+    about, matched by identity (configurations are immutable); nothing
+    outlives the returned function."""
     last = [None, {}]
 
     def table_of(eta: PointConfiguration) -> dict:
         if eta is not last[0]:
             last[:] = eta, build(eta)
         return last[1]
+
+    return table_of
+
+
+def _table_property(name: str, mode: PropertyMode, table_of: Callable, certainty_ball=None) -> ClusterProperty:
+    """A property whose callables read the table `table_of(eta)` (`_memo`)."""
 
     def enumerate_candidates(eta: PointConfiguration):
         return list(table_of(eta))
@@ -176,9 +183,10 @@ def _table_property(name: str, mode: PropertyMode, build: Callable, certainty_ba
     return ClusterProperty(name, mode, enumerate_candidates, membership, boundary_uncertain, certainty_ball)
 
 
-def _table(pts: np.ndarray, rows: np.ndarray, member: np.ndarray, uncertain: np.ndarray) -> dict:
-    """{Cluster of pts[row]: (member, uncertain)}, one entry per index row."""
-    return dict(zip(map(Cluster, pts[rows].tolist()), zip(member.tolist(), uncertain.tolist())))
+def _table(pts: np.ndarray, rows: np.ndarray, *columns: np.ndarray) -> dict:
+    """{Cluster of pts[row]: (its entry of each column)}, one entry per
+    index row; the columns start with member and uncertain."""
+    return dict(zip(map(Cluster, pts[rows].tolist()), zip(*(c.tolist() for c in columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +218,7 @@ def hardcore_property(r: float) -> ClusterProperty:
     def certainty_ball(cluster: Cluster, eta: PointConfiguration) -> Ball:
         return Ball(cluster.points[0], r)
 
-    return _table_property(f"hardcore(r={r})", PropertyMode.IN_CONFIGURATION, build, certainty_ball)
+    return _table_property(f"hardcore(r={r})", PropertyMode.IN_CONFIGURATION, _memo(build), certainty_ball)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +313,9 @@ def delone_property(
     Candidates grow out of the Delaunay simplices of the configuration
     (scipy's Qhull; see `_delone_candidate_rows`), and `_delone_table`
     decides those under the cap all at once. A cluster is
-    boundary-uncertain when its circumball leaves the window.
+    boundary-uncertain when its circumball leaves the window. The table
+    keeps each candidate's circumball next to its verdicts: it is the
+    certainty ball.
     """
     if radius_cap <= 0.0:
         raise ValueError(f"radius cap must be positive, got {radius_cap}")
@@ -315,13 +325,16 @@ def delone_property(
         w = eta.window
         # contains_ball, elementwise
         inside = (centers - radii[:, None] >= w._low) & (centers + radii[:, None] <= w._high)
-        return _table(eta.points, rows, member, ~inside.all(axis=1))
+        return _table(eta.points, rows, member, ~inside.all(axis=1), centers, radii)
+
+    table_of = _memo(build)
 
     def certainty_ball(cluster: Cluster, eta: PointConfiguration) -> Ball:
-        return circumball(cluster, eps)
+        _, _, center, radius = table_of(eta)[cluster]
+        return Ball(center, radius)
 
     name = f"delone(R={radius_cap})" + (" [open ball]" if open_ball_mode else "")
-    return _table_property(name, PropertyMode.IN_CONFIGURATION, build, certainty_ball)
+    return _table_property(name, PropertyMode.IN_CONFIGURATION, table_of, certainty_ball)
 
 
 # ---------------------------------------------------------------------------
@@ -405,4 +418,4 @@ def voronoi_property(
         cells = _voronoi_cells(eta, cap, open_ball_mode, eps)
         return {cell: (is_discrete_polytope(cell, eps), not certain) for cell, (_, certain) in cells.items()}
 
-    return _table_property("voronoi", PropertyMode.FOR_CONFIGURATION, build)
+    return _table_property("voronoi", PropertyMode.FOR_CONFIGURATION, _memo(build))

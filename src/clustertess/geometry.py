@@ -2,13 +2,14 @@
 
 A cluster is a finite set of distinct points in R^d, standing in for the
 vertex set of a convex polytope. This module supplies the exact-enough
-kernels everything else is built on: circumballs of simplices,
-convex hulls and extreme points (Qhull, d <= 3), and the pairwise
-face-to-face test.
+kernels everything else is built on: circumballs and facet planes of
+simplices, convex hulls and extreme points (Qhull, d <= 3), and the
+pairwise face-to-face test.
 
 All predicates share one relative tolerance (EPS_GEOM by default).
-`circumballs` is `circumball` batched over many simplices, with the
-same arithmetic, so both give the same bits.
+Circumballs and facet planes each have one batched implementation,
+`circumballs` and `facet_planes`; `circumball` is `circumballs` on one
+simplex.
 """
 
 from __future__ import annotations
@@ -117,72 +118,34 @@ class FaceRelation(Enum):
 
 
 def circumball(simplex: Cluster, eps: float = EPS_GEOM) -> Ball:
-    """Circumball of a full-dimensional simplex (d+1 points in R^d).
-
-    Solves the pairwise-equidistance system 2(v_i - v_0) . x =
-    |v_i|^2 - |v_0|^2 by Gaussian elimination with partial pivoting.
-    A pivot below eps times the matrix scale means the vertices are
-    affinely dependent and DegenerateSimplex is raised; so does a
-    subnormal pivot, whose reciprocal would overflow.
+    """Circumball of a full-dimensional simplex (d+1 points in R^d), by
+    one `circumballs` call. Raises DegenerateSimplex on a wrong point
+    count and where `circumballs` finds the vertices affinely dependent.
     """
-    pts = simplex.points
     d = simplex.dimension
-    if len(pts) != d + 1:
+    if len(simplex) != d + 1:
         raise DegenerateSimplex(
-            f"a full-dimensional simplex in R^{d} needs {d + 1} points, got {len(pts)}"
+            f"a full-dimensional simplex in R^{d} needs {d + 1} points, got {len(simplex)}"
         )
-    p0 = pts[0]
-    sq0 = sum(c * c for c in p0)
-    rows = []
-    rhs = []
-    for p in pts[1:]:
-        rows.append([2.0 * (p[j] - p0[j]) for j in range(d)])
-        rhs.append(sum(c * c for c in p) - sq0)
-
-    scale = max((abs(v) for row in rows for v in row), default=0.0)
-    if scale == 0.0:
-        raise DegenerateSimplex("simplex vertices coincide")
-
-    # elimination with partial pivoting, in place
-    tol = max(eps * scale, sys.float_info.min)
-    for col in range(d):
-        pivot_row = max(range(col, d), key=lambda r: abs(rows[r][col]))
-        pivot = rows[pivot_row][col]
-        if abs(pivot) <= tol:
-            raise DegenerateSimplex(f"affinely dependent vertices (pivot {pivot:.3e} at most {tol:.3e})")
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        inv = 1.0 / rows[col][col]
-        for r in range(col + 1, d):
-            factor = rows[r][col] * inv
-            if factor != 0.0:
-                for j in range(col, d):
-                    rows[r][j] -= factor * rows[col][j]
-                rhs[r] -= factor * rhs[col]
-
-    center = [0.0] * d
-    for col in range(d - 1, -1, -1):
-        acc = rhs[col]
-        for j in range(col + 1, d):
-            acc -= rows[col][j] * center[j]
-        center[col] = acc / rows[col][col]
-
-    radius = max(
-        math.sqrt(sum((p[j] - center[j]) ** 2 for j in range(d))) for p in pts
-    )
-    return Ball(tuple(center), radius)
+    centers, radii, ok = circumballs(simplex.as_array()[None], eps)
+    if not ok[0]:
+        raise DegenerateSimplex("affinely dependent vertices")
+    return Ball(tuple(centers[0].tolist()), float(radii[0]))
 
 
 def circumballs(simplices: np.ndarray, eps: float = EPS_GEOM):
-    """`circumball` of each of m simplices, an (m, d+1, d) array:
-    (centers (m, d), radii (m,), ok (m,)), ok False where `circumball`
-    raises DegenerateSimplex. It is `circumball`'s elimination,
-    vectorised over m with the same pivots, threshold and operation
-    order: sums run term by term, a zero factor skips its row update,
-    and radius terms are squared by libm `pow` (`np.float_power`), as
-    `** 2` does. Where ok holds, the results equal `circumball`'s bit
-    for bit.
+    """Circumballs of m simplices, an (m, d+1, d) array: (centers (m, d),
+    radii (m,), ok (m,)).
+
+    Solves the pairwise-equidistance system 2(v_i - v_0) . x = |v_i|^2 -
+    |v_0|^2 of each simplex by Gaussian elimination with partial
+    pivoting. ok is False where a pivot is at most max(eps times the
+    matrix scale, the smallest normal float): the vertices are affinely
+    dependent, or the reciprocal of a subnormal pivot would overflow.
+    Sums run term by term, left to right, a zero factor skips its row
+    update, and radius terms are squared by libm `pow`
+    (`np.float_power`), so that the results equal the scalar
+    elimination's in the test oracles bit for bit.
     """
     s = np.asarray(simplices, dtype=float)
     m, _, d = s.shape
@@ -266,40 +229,60 @@ def convex_hull_vertices(cluster: Cluster, eps: float = EPS_GEOM) -> Cluster:
     return Cluster(sorted(cluster.points[i] for i in keep))
 
 
-def _facet_halfspaces(pts: Tuple[Tuple[float, ...], ...], eps: float):
-    """Inward halfspaces (unit normal, offset) of a simplex, one per facet."""
-    d = len(pts[0])
-    arr = np.asarray(pts, dtype=float)
-    halfspaces = []
-    for omit in range(d + 1):
-        facet = np.delete(arr, omit, axis=0)
-        omitted = arr[omit]
-        if d == 1:
-            normal = np.array([1.0])
-        elif d == 2:
-            edge = facet[1] - facet[0]
-            normal = np.array([edge[1], -edge[0]])
-        else:
-            normal = np.cross(facet[1] - facet[0], facet[2] - facet[0])
-        norm = float(np.linalg.norm(normal))
-        span = float(np.abs(arr).max()) + 1.0
-        if norm <= eps * span ** (d - 1):
-            raise DegenerateSimplex("degenerate facet while building halfspaces")
-        normal = normal / norm
-        offset = float(normal @ facet[0])
-        if float(normal @ omitted) > offset:
-            normal, offset = -normal, -offset
-        halfspaces.append((normal, offset))
-    return halfspaces
+def facet_planes(simplices: np.ndarray, eps: float = EPS_GEOM):
+    """Facet planes of m simplices, an (m, d+1, d) array, d <= 3; facet
+    k omits vertex k. Returns (normals, units, offsets, ok):
+
+    - normals (m, d+1, d), not normalised: 1 in d = 1, the perpendicular
+      (e_y, -e_x) of the edge e from the facet's first vertex to its
+      second in d = 2, and in d = 3 the cross product of the edges from
+      its first vertex to its second and third. A normal's length is
+      (d-1)! times its facet's measure.
+    - units (m, d+1, d) and offsets (m, d+1): the inward halfspaces
+      units . x <= offsets, through each facet's first vertex.
+    - ok (m,): False where some normal's length is at most eps *
+      span**(d-1), span being 1 plus the largest coordinate magnitude of
+      the simplex: the simplex is degenerate, and its units and offsets
+      are not meaningful.
+
+    Lengths, offsets and orientations are dot products through
+    `np.linalg.norm`'s own BLAS dot product (a stacked 1 x d @ d x 1
+    `matmul`), so they equal the per-facet scalar construction in the
+    test oracles bit for bit.
+    """
+    s = np.asarray(simplices, dtype=float)
+    m, n, d = s.shape
+    if d > 3:
+        raise UnsupportedDimension(f"facet planes implemented for d <= 3, got d = {d}")
+    facets = s[:, [[j for j in range(n) if j != k] for k in range(n)]]  # (m, n, d, d)
+    if d == 1:
+        normals = np.ones((m, n, 1))
+    elif d == 2:
+        normals = (facets[:, :, 1] - facets[:, :, 0])[..., ::-1] * [1.0, -1.0]
+    else:
+        normals = np.cross(facets[:, :, 1] - facets[:, :, 0], facets[:, :, 2] - facets[:, :, 0])
+    norm = np.sqrt(_dot(normals, normals))
+    span = np.abs(s).max(axis=(1, 2)) + 1.0
+    ok = np.all(norm > (eps * np.float_power(span, d - 1))[:, None], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate facets run on, unused
+        units = normals / norm[..., None]
+        offsets = _dot(units, facets[:, :, 0])
+        # -1 where the omitted vertex lies beyond the plane
+        sign = np.where(_dot(units, s) > offsets, -1.0, 1.0)
+    return normals, units * sign[..., None], offsets * sign, ok
 
 
-def _intersection_vertices(hs, d: int, atol: float) -> list:
-    """Vertices of the polytope {x : n_i . x <= c_i} by exhaustive d-subset
-    enumeration. Suitable for the small systems two simplices produce."""
-    normals = np.array([h[0] for h in hs])
-    offsets = np.array([h[1] for h in hs])
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, each as `np.linalg.norm` takes it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _intersection_vertices(normals: np.ndarray, offsets: np.ndarray, d: int, atol: float) -> list:
+    """Vertices of the polytope {x : normals . x <= offsets} by
+    exhaustive d-subset enumeration. Suitable for the small systems two
+    simplices produce."""
     vertices = []
-    for combo in itertools.combinations(range(len(hs)), d):
+    for combo in itertools.combinations(range(len(normals)), d):
         a = normals[list(combo)]
         b = offsets[list(combo)]
         if d == 1:
@@ -358,12 +341,15 @@ def common_face_check(x: Cluster, y: Cluster, eps: float = EPS_GEOM) -> FaceRela
     # shared vertices, matched within tolerance
     shared = []
     used = set()
-    for p in ax:
+    unmatched = 0
+    for i, p in enumerate(ax):
         for j, q in enumerate(ay):
             if j not in used and float(np.linalg.norm(p - q)) <= atol:
                 shared.append(p)
                 used.add(j)
                 break
+        else:
+            unmatched = i
 
     # quick reject on bounding boxes
     if np.any(ax.min(axis=0) > ay.max(axis=0) + atol) or np.any(
@@ -374,6 +360,7 @@ def common_face_check(x: Cluster, y: Cluster, eps: float = EPS_GEOM) -> FaceRela
     if len(shared) == d + 1:
         return FaceRelation.COMMON_FACE  # identical simplices
 
+    normals, units, offsets, ok = facet_planes(np.stack([ax, ay]), eps)
     if len(shared) == d:
         # shared facet: face-to-face iff the two leftover vertices lie
         # strictly on opposite sides of the facet hyperplane
@@ -384,11 +371,7 @@ def common_face_check(x: Cluster, y: Cluster, eps: float = EPS_GEOM) -> FaceRela
             side_x = apex_x[0] - facet[0][0]
             side_y = apex_y[0] - facet[0][0]
         else:
-            if d == 2:
-                edge = facet[1] - facet[0]
-                normal = np.array([edge[1], -edge[0]])
-            else:
-                normal = np.cross(facet[1] - facet[0], facet[2] - facet[0])
+            normal = normals[0, unmatched]  # x's facet on the shared vertices
             nn = float(np.linalg.norm(normal))
             if nn > atol * scale:
                 normal = normal / nn
@@ -402,8 +385,9 @@ def common_face_check(x: Cluster, y: Cluster, eps: float = EPS_GEOM) -> FaceRela
             return FaceRelation.IMPROPER
         # fall through to the general test in the degenerate case
 
-    hs = _facet_halfspaces(x.points, eps) + _facet_halfspaces(y.points, eps)
-    vertices = _intersection_vertices(hs, d, atol)
+    if not ok.all():
+        raise DegenerateSimplex("degenerate facet while building halfspaces")
+    vertices = _intersection_vertices(units.reshape(-1, d), offsets.ravel(), d, atol)
     if not vertices:
         return FaceRelation.DISJOINT
     if _match_point_sets(vertices, list(np.asarray(shared)), 10 * atol):

@@ -111,23 +111,24 @@ def make_record(
     return record
 
 
-# the JSON types each record field may take
-_FIELD_TYPES = {
-    "replication": (int,), "window": (dict,), "points": (list,),
-    "multiplicities": (list, type(None)), "clusters": (list, type(None)), "report": (dict, type(None)),
-}
+_NUMBER_TYPES = {int, float}
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)
+    return type(value) in _NUMBER_TYPES
 
 
 def _is_coordinate_list(value) -> bool:
-    return type(value) is list and all(map(_is_number, value))
+    return type(value) is list and set(map(type, value)) <= _NUMBER_TYPES
 
 
 def _is_point_list(value) -> bool:
-    return type(value) is list and all(map(_is_coordinate_list, value))
+    """A list of coordinate lists, all of one length."""
+    return type(value) is list and all(map(_is_coordinate_list, value)) and len(set(map(len, value))) <= 1
+
+
+def _is_integer_list(value) -> bool:
+    return type(value) is list and set(map(type, value)) <= {int}
 
 
 def _is_flag(value) -> bool:
@@ -144,8 +145,17 @@ def _is_index_pairs(value) -> bool:
     )
 
 
-# the JSON content each window field, cluster field and report field may
-# hold; a report field may also be absent, which reads as its default
+# the JSON content each record field, window field, cluster field and
+# report field may hold; a report field may also be absent, which reads
+# as its default
+_RECORD_FIELDS = {
+    "replication": lambda v: type(v) is int,
+    "window": lambda v: type(v) is dict,
+    "points": _is_point_list,
+    "multiplicities": lambda v: v is None or _is_integer_list(v),
+    "clusters": lambda v: v is None or type(v) is list,
+    "report": lambda v: v is None or type(v) is dict,
+}
 _WINDOW_FIELDS = {"low": _is_coordinate_list, "high": _is_coordinate_list, "buffer_margin": _is_number}
 _CLUSTER_FIELDS = {"points": _is_point_list, "boundary_uncertain": lambda v: type(v) is bool}
 _REPORT_FIELDS = {
@@ -156,12 +166,12 @@ _REPORT_FIELDS = {
 
 def _check_shape(record) -> None:
     """Raise ValueError naming the first field of a parsed record whose
-    JSON type `record_to_objects` cannot take, the content of the
-    window, of each cluster and of the report included."""
+    JSON content `record_to_objects` cannot take: the points, the
+    multiplicities, the window, each cluster and the report included."""
     if type(record) is not dict:
         raise ValueError(f"a record must be a JSON object, got {json.dumps(record)[:40]}")
-    for field, types in _FIELD_TYPES.items():
-        if type(record.get(field)) not in types:
+    for field, valid in _RECORD_FIELDS.items():
+        if not valid(record.get(field)):
             raise ValueError(f"record field {field!r} cannot be {json.dumps(record.get(field))[:40]}")
     for key, valid in _WINDOW_FIELDS.items():
         value = record["window"].get(key)

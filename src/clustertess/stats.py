@@ -23,7 +23,7 @@ from scipy.special import gammaincinv
 
 from .clusterprops import ClusterProperty, cluster_count, extract_clusters
 from .cutproject import Chain, decompose_length
-from .pointproc import PointConfiguration, DiscreteIntensity, ProcessSampler, Window, sample_poisson_discrete, sample_poisson_homogeneous
+from .pointproc import DiscreteIntensity, ProcessSampler, Window, sample_poisson_discrete, sample_poisson_homogeneous
 from .randomness import mix_seed
 
 SIGMA_BAND = 4.0
@@ -155,32 +155,20 @@ def occupation_test(c: float, n_sites: int, n_reps: int, seed: int) -> TestRepor
     )
 
 
-def _border_corrected_rate(
-    cfg, prop: ClusterProperty, eta: PointConfiguration
-) -> float:
-    """Cluster intensity estimate for one replication.
+def _border_corrected_rate(radii: np.ndarray, window: Window) -> float:
+    """Cluster intensity estimate for one replication, from the
+    certainty-ball radii of its boundary-certain clusters, in cluster
+    order.
 
-    When the property exposes its certainty ball, each boundary-certain
-    cluster is weighted by the reciprocal volume of the window eroded by
-    its ball radius (minus sampling with Horvitz-Thompson weights);
-    the estimate is then free of the window-size bias that raw
-    certain-count / volume rates have. Without a certainty ball the raw
-    rate is used.
+    Each cluster is weighted by the reciprocal volume of the window
+    eroded by its radius (minus sampling with Horvitz-Thompson weights),
+    nothing where that erosion leaves no volume; the estimate is then
+    free of the window-size bias that raw certain-count / volume rates
+    have. The weights add left to right, in cluster order.
     """
-    window = eta.window
-    if prop.certainty_ball is None:
-        return cluster_count(cfg, certain_only=True) / window.volume()
-    rate = 0.0
-    extent = window.extent()
-    for cluster, uncertain in zip(cfg.clusters, cfg.boundary_uncertain):
-        if uncertain:
-            continue
-        ball = prop.certainty_ball(cluster, eta)
-        eroded = extent - 2.0 * ball.radius
-        if np.any(eroded <= 0.0):
-            continue
-        rate += 1.0 / float(np.prod(eroded))
-    return rate
+    eroded = window.extent() - 2.0 * radii[:, None]
+    weights = 1.0 / np.prod(eroded[(eroded > 0.0).all(axis=1)], axis=1)
+    return float(np.cumsum(weights)[-1]) if len(weights) else 0.0
 
 
 def cluster_intensity_scan(
@@ -194,9 +182,11 @@ def cluster_intensity_scan(
     """Stationarity proxy for the zero-or-infinity law.
 
     Estimates the boundary-corrected certain-cluster intensity on
-    windows of several sizes; the per-volume rates must agree pairwise
-    within SIGMA_BAND combined standard errors. An unsatisfiable
-    property passes with identically zero rates (the "or none" branch).
+    windows of several sizes (`_border_corrected_rate`; without a
+    certainty ball, the raw certain count per volume); the per-volume
+    rates must agree pairwise within SIGMA_BAND combined standard
+    errors. An unsatisfiable property passes with identically zero
+    rates (the "or none" branch).
     """
     if len(window_sizes) < 3:
         raise ValueError("need at least three window sizes")
@@ -210,7 +200,11 @@ def cluster_intensity_scan(
         for rep in range(n_reps):
             eta = sample_poisson_homogeneous(lam, window, mix_seed(seed, wi * n_reps + rep))
             cfg = extract_clusters(prop, eta)
-            rates.append(_border_corrected_rate(cfg, prop, eta))
+            if prop.certainty_ball is None:
+                rates.append(cluster_count(cfg, certain_only=True) / window.volume())
+            else:
+                radii = [prop.certainty_ball(c, eta).radius for c in cfg.certain()]
+                rates.append(_border_corrected_rate(np.array(radii, dtype=float), window))
         means.append(float(np.mean(rates)))
         ses.append(float(np.std(rates, ddof=1) / math.sqrt(n_reps)))
     worst = 0.0

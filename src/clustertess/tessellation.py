@@ -14,15 +14,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSimplex, NonSimplicialInput, UnsupportedDimension
+from .errors import NonSimplicialInput, UnsupportedDimension
 from .geometry import (
     EPS_GEOM,
     SINGULAR_DET,
     Cluster,
     FaceRelation,
-    _facet_halfspaces,
     circumballs,
     common_face_check,
+    facet_planes,
 )
 from .clusterprops import ClusterConfiguration
 from .pointproc import Window
@@ -100,9 +100,12 @@ def check_face_to_face(cfg: ClusterConfiguration, eps: float = EPS_GEOM) -> Tess
     lows, highs = verts.min(axis=1), verts.max(axis=1)
     atol = eps * max(1.0, float(np.abs(verts).max()))
     i, j = _box_overlap_pairs(lows, highs, atol)
-    verdict = np.empty(len(i), dtype=int)
-    for s in range(0, len(i), _BLOCK):
-        verdict[s : s + _BLOCK] = _pair_verdicts(verts[i[s : s + _BLOCK]], verts[j[s : s + _BLOCK]], eps)
+    verdict = np.full(len(i), _UNDECIDED)
+    if d <= 3:  # above, the scalar test raises UnsupportedDimension
+        normals = facet_planes(verts, eps)[0]
+        for s in range(0, len(i), _BLOCK):
+            a, b = i[s : s + _BLOCK], j[s : s + _BLOCK]
+            verdict[s : s + _BLOCK] = _pair_verdicts(verts[a], verts[b], normals[a], normals[b], eps)
     for k in np.nonzero(verdict == _UNDECIDED)[0]:
         relation = common_face_check(clusters[i[k]], clusters[j[k]], eps)
         verdict[k] = _IMPROPER if relation is FaceRelation.IMPROPER else _PROPER
@@ -130,6 +133,9 @@ _WELL_CONDITIONED_DET = 1e-5
 # overlap when |a x b| >= this * |a| |b|: its direction then errs by
 # about 1e-10 rad, a projection by far less than the margin
 _MIN_AXIS_SINE = 1e-6
+# the vertices of each facet of a tetrahedron; facet k omits vertex k,
+# as in `facet_planes`
+_TETRAHEDRON_FACETS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
 def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float):
@@ -154,13 +160,12 @@ def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float):
     return i[ranked], j[ranked]
 
 
-def _pair_verdicts(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+def _pair_verdicts(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray, eps: float) -> np.ndarray:
     """_PROPER, _IMPROPER or _UNDECIDED for each pair of simplices
-    (x[p], y[p]), with the rules of `check_face_to_face`."""
+    (x[p], y[p]), d <= 3, with the rules of `check_face_to_face`; nx
+    and ny are their facet normals (`facet_planes`)."""
     n_pairs, n, d = x.shape
     verdict = np.full(n_pairs, _UNDECIDED)
-    if d > 3:
-        return verdict  # the scalar test raises UnsupportedDimension
     scale = np.maximum(1.0, np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(y).max(axis=(1, 2))))
     atol = eps * scale
 
@@ -180,20 +185,19 @@ def _pair_verdicts(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     # atol). The margin, four times what both slacks reach together
     # (16 atol for two intervals), keeps the scalar's verdict the same.
     normals, sound, reach = [], [], np.zeros(n_pairs)
-    for s in (x, y):
-        facet_normals, facet_sound = _facet_normals(s)
+    for s, facet_normals in ((x, nx), (y, ny)):
         with np.errstate(divide="ignore", invalid="ignore"):  # subnormal edges
             volume = np.abs(np.linalg.det(s[:, 1:] - s[:, :1]))  # d! times the volume
         inradius = np.maximum(volume / np.linalg.norm(facet_normals, axis=-1).sum(axis=1), atol)
         normals.append(facet_normals)
-        sound.append(facet_sound)
+        sound.append(_facet_sound(s, facet_normals))
         reach += np.linalg.norm(_edges(s), axis=-1).max(axis=1) / inradius
     margin = 4.0 * atol * reach
 
     verdict[clear & (k == n)] = _PROPER
     facet = np.nonzero(clear & (k == d))[0]
-    # facet f of a simplex omits vertex n - 1 - f; here the unshared one
-    normal = normals[0][facet, n - 1 - np.argmin(shared_x[facet], axis=1)]
+    # facet f of a simplex omits vertex f; here the unshared one
+    normal = normals[0][facet, np.argmin(shared_x[facet], axis=1)]
     verdict[facet] = _opposite_sides(
         x[facet], y[facet], shared_x[facet], shared_y[facet], normal, atol[facet], scale[facet]
     )
@@ -205,9 +209,10 @@ def _pair_verdicts(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     rest, axes = rest[conditioned], axes[conditioned]
     axes_sound = np.concatenate([sound[0][rest], sound[1][rest]], axis=1)
     if d == 3:
-        edge_axes, edge_sound = _cross_axes(_edges(x[rest])[:, :, None], _edges(y[rest])[:, None])
+        u, v = _edges(x[rest])[:, :, None], _edges(y[rest])[:, None]
+        edge_axes = np.cross(u, v)
         axes = np.concatenate([axes, edge_axes.reshape(len(rest), 36, 3)], axis=1)
-        axes_sound = np.concatenate([axes_sound, edge_sound.reshape(len(rest), 36)], axis=1)
+        axes_sound = np.concatenate([axes_sound, _sound(edge_axes, u, v).reshape(len(rest), 36)], axis=1)
     verdict[rest] = _separating_axes(
         x[rest], y[rest], shared_x[rest], shared_y[rest], axes, axes_sound, atol[rest], margin[rest]
     )
@@ -258,20 +263,13 @@ def _closed_side(pa, pb, shared_a, shared_b, tol, margin) -> np.ndarray:
     return np.any(on_plane & beyond, axis=1)
 
 
-def _facet_normals(s: np.ndarray):
-    """Facet normals of a batch of simplices, not normalised: a normal's
-    length is (d-1)! times its facet's measure (1 for d = 1). Also
-    whether each is exact enough to certify an overlap."""
-    n_batch, n, d = s.shape
-    if d == 1:
-        normals = np.ones((n_batch, 2, 1))
-        return normals, np.ones((n_batch, 2), dtype=bool)
-    if d == 2:
-        edges = _edges(s)
-        normals = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)
-        return normals, np.ones((n_batch, 3), dtype=bool)
-    faces = np.array(list(itertools.combinations(range(n), 3)))
-    return _cross_axes(s[:, faces[:, 1]] - s[:, faces[:, 0]], s[:, faces[:, 2]] - s[:, faces[:, 0]])
+def _facet_sound(s: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Whether each facet normal of a batch of simplices (`facet_planes`)
+    is exact enough to certify an overlap; in d < 3 all are."""
+    if s.shape[2] < 3:
+        return np.ones(normals.shape[:2], dtype=bool)
+    facets = s[:, _TETRAHEDRON_FACETS]
+    return _sound(normals, facets[:, :, 1] - facets[:, :, 0], facets[:, :, 2] - facets[:, :, 0])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -285,13 +283,11 @@ def _edges(s: np.ndarray) -> np.ndarray:
     return s[:, e[:, 1]] - s[:, e[:, 0]]
 
 
-def _cross_axes(u: np.ndarray, v: np.ndarray):
-    """Cross products u x v and whether each is exact enough to certify
-    an overlap (see _MIN_AXIS_SINE)."""
-    axes = np.cross(u, v)
+def _sound(axes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each axis u x v is exact enough to certify an overlap
+    (see _MIN_AXIS_SINE)."""
     bound = _MIN_AXIS_SINE * np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
-    sound = np.linalg.norm(axes, axis=-1) >= bound
-    return axes, sound
+    return np.linalg.norm(axes, axis=-1) >= bound
 
 
 def hull_contains_points(
@@ -306,8 +302,8 @@ def hull_contains_points(
     - d = 1: the interval from the lowest to the highest vertex, +- tol;
     - d = 2: the vertices ordered by angle about their centroid, and
       edge x (q - a) >= -tol * max(1, |edge|) for each edge a -> a + edge;
-    - d = 3: the `_facet_halfspaces` planes, offset outward by tol; a
-      flat simplex (`DegenerateSimplex`) contains nothing.
+    - d = 3: the `facet_planes` halfspaces, offset outward by tol; a
+      flat simplex (not ok there) contains nothing.
 
     For d > 1 a cluster of fewer than d + 1 points contains nothing; a
     larger one in d = 3 that is not a simplex, or one in d > 3, raises
@@ -444,23 +440,16 @@ def _simplex_group(members, eps: float, size: float):
     scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
     tol = eps * scale
     centroid = pts.mean(axis=1)
-    planes, depth, slack = [], np.full((len(pts), 4), np.nan), np.full((len(pts), 4), np.nan)
-    for k, cluster in enumerate(members):
-        try:
-            halfspaces = _facet_halfspaces(cluster.points, eps)
-        except DegenerateSimplex:
-            halfspaces = []
-        planes.append(halfspaces)
-        for f, (normal, offset) in enumerate(halfspaces):
-            # a near-flat facet's plane can miss its other vertices by
-            # more than rounding: measure at the lowest of them
-            low = (np.delete(pts[k], f, axis=0) @ normal).min()
-            depth[k, f] = low - centroid[k] @ normal
-            slack[k, f] = tol[k] + offset - low
+    _, units, offsets, ok = facet_planes(pts, eps)
+    with np.errstate(invalid="ignore"):  # flat simplices, boxed empty below
+        # a near-flat facet's plane can miss its other vertices by more
+        # than rounding: measure at the lowest of them
+        low = (pts[:, _TETRAHEDRON_FACETS] @ units[..., None])[..., 0].min(axis=2)
+        depth = low - (units @ centroid[..., None])[..., 0]
+        slack = tol[:, None] + offsets - low
     reach = _reach(pts, centroid, depth, slack, np.maximum(size, scale))
     lows, highs = pts.min(axis=1) - reach[:, None], pts.max(axis=1) + reach[:, None]
-    flat = [k for k, halfspaces in enumerate(planes) if not halfspaces]
-    lows[flat], highs[flat] = np.inf, -np.inf
+    lows[~ok], highs[~ok] = np.inf, -np.inf
 
     def test(c, q):
         # the pairs of one cluster are consecutive; each run is tested as
@@ -468,7 +457,7 @@ def _simplex_group(members, eps: float, size: float):
         inside = np.ones(len(c), dtype=bool)
         runs = np.flatnonzero(np.diff(c, prepend=-1, append=-1))
         for a, b in zip(runs[:-1], runs[1:]):
-            for normal, offset in planes[c[a]]:
+            for normal, offset in zip(units[c[a]], offsets[c[a]]):
                 inside[a:b] &= q[a:b] @ normal <= offset + tol[c[a]]
         return inside
 

@@ -11,13 +11,16 @@ instead of the box-filtered coverage pass.
 
 The scalar predicates the batched production code replaced live here
 as oracles too: the ball trichotomy and the hard-core isolation test
-scan every point, `circumball`, the scalar elimination, checks the
-batched `circumballs` bit for bit, and the per-cluster hull test and
-coverage loop check the batched coverage kernel bit for bit.
+scan every point; `circumball_scalar`, the scalar elimination, checks
+the batched `circumballs` bit for bit; `facet_halfspaces_scalar`, one
+facet plane at a time, checks the batched `facet_planes` bit for bit;
+and the per-cluster hull test and coverage loop check the batched
+coverage kernel bit for bit.
 """
 
 import itertools
 import math
+import sys
 from enum import Enum
 
 import numpy as np
@@ -26,15 +29,15 @@ from scipy.optimize import linprog
 from clustertess import (
     SQRT2,
     AmbiguousDecomposition,
+    Ball,
     Cluster,
     DegenerateSimplex,
     EPS_GEOM,
     UnsupportedDimension,
-    circumball,
     common_face_check,
     make_rng,
 )
-from clustertess.geometry import FaceRelation, _facet_halfspaces
+from clustertess.geometry import FaceRelation
 
 
 class BallSide(Enum):
@@ -60,6 +63,94 @@ def ball_contains(ball, point, eps=EPS_GEOM):
     return BallSide.OUTSIDE
 
 
+def circumball_scalar(simplex, eps=EPS_GEOM):
+    """Circumball of a full-dimensional simplex (d+1 points in R^d).
+
+    Solves the pairwise-equidistance system 2(v_i - v_0) . x =
+    |v_i|^2 - |v_0|^2 by Gaussian elimination with partial pivoting.
+    A pivot below eps times the matrix scale means the vertices are
+    affinely dependent and DegenerateSimplex is raised; so does a
+    subnormal pivot, whose reciprocal would overflow.
+    """
+    pts = simplex.points
+    d = simplex.dimension
+    if len(pts) != d + 1:
+        raise DegenerateSimplex(
+            f"a full-dimensional simplex in R^{d} needs {d + 1} points, got {len(pts)}"
+        )
+    p0 = pts[0]
+    sq0 = sum(c * c for c in p0)
+    rows = []
+    rhs = []
+    for p in pts[1:]:
+        rows.append([2.0 * (p[j] - p0[j]) for j in range(d)])
+        rhs.append(sum(c * c for c in p) - sq0)
+
+    scale = max((abs(v) for row in rows for v in row), default=0.0)
+    if scale == 0.0:
+        raise DegenerateSimplex("simplex vertices coincide")
+
+    # elimination with partial pivoting, in place
+    tol = max(eps * scale, sys.float_info.min)
+    for col in range(d):
+        pivot_row = max(range(col, d), key=lambda r: abs(rows[r][col]))
+        pivot = rows[pivot_row][col]
+        if abs(pivot) <= tol:
+            raise DegenerateSimplex(f"affinely dependent vertices (pivot {pivot:.3e} at most {tol:.3e})")
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+        inv = 1.0 / rows[col][col]
+        for r in range(col + 1, d):
+            factor = rows[r][col] * inv
+            if factor != 0.0:
+                for j in range(col, d):
+                    rows[r][j] -= factor * rows[col][j]
+                rhs[r] -= factor * rhs[col]
+
+    center = [0.0] * d
+    for col in range(d - 1, -1, -1):
+        acc = rhs[col]
+        for j in range(col + 1, d):
+            acc -= rows[col][j] * center[j]
+        center[col] = acc / rows[col][col]
+
+    radius = max(
+        math.sqrt(sum((p[j] - center[j]) ** 2 for j in range(d))) for p in pts
+    )
+    return Ball(tuple(center), radius)
+
+
+def facet_halfspaces_scalar(pts, eps=EPS_GEOM):
+    """Inward halfspaces (normal, unit normal, offset) of a simplex, one
+    per facet; facet k omits vertex k, and its normal is not normalised.
+    Raises DegenerateSimplex where a normal's length is at most eps *
+    span**(d-1)."""
+    d = len(pts[0])
+    arr = np.asarray(pts, dtype=float)
+    halfspaces = []
+    for omit in range(d + 1):
+        facet = np.delete(arr, omit, axis=0)
+        omitted = arr[omit]
+        if d == 1:
+            normal = np.array([1.0])
+        elif d == 2:
+            edge = facet[1] - facet[0]
+            normal = np.array([edge[1], -edge[0]])
+        else:
+            normal = np.cross(facet[1] - facet[0], facet[2] - facet[0])
+        norm = float(np.linalg.norm(normal))
+        span = float(np.abs(arr).max()) + 1.0
+        if norm <= eps * span ** (d - 1):
+            raise DegenerateSimplex("degenerate facet while building halfspaces")
+        unit = normal / norm
+        offset = float(unit @ facet[0])
+        if float(unit @ omitted) > offset:
+            unit, offset = -unit, -offset
+        halfspaces.append((normal, unit, offset))
+    return halfspaces
+
+
 def hardcore_isolated(point, eta, r):
     """Scalar hard-core membership: no other configuration point lies
     closer than r to the point (distances that round to zero are the
@@ -72,7 +163,7 @@ def exhaustive_delone(eta, radius_cap, open_ball_mode=False):
     """All (d+1)-subsets passing the Delone membership, with no pruning.
 
     Membership is evaluated through the scalar geometry operations
-    (circumball by elimination, ball_contains trichotomy), so this is
+    (`circumball_scalar`, the `ball_contains` trichotomy), so this is
     also a second numeric route against the vectorized extractor.
     """
     d = eta.dimension
@@ -81,7 +172,7 @@ def exhaustive_delone(eta, radius_cap, open_ball_mode=False):
     for combo in itertools.combinations(pts, d + 1):
         cluster = Cluster(combo)
         try:
-            ball = circumball(cluster)
+            ball = circumball_scalar(cluster)
         except DegenerateSimplex:
             continue
         if ball.radius > radius_cap:
@@ -142,12 +233,12 @@ def hull_contains_points_scalar(cluster, queries, eps=EPS_GEOM):
         if len(pts) != 4:
             raise UnsupportedDimension("3D hull membership is implemented for simplices only")
         try:
-            halfspaces = _facet_halfspaces(cluster.points, eps)
+            halfspaces = facet_halfspaces_scalar(cluster.points, eps)
         except DegenerateSimplex:
             return np.zeros(len(q), dtype=bool)  # flat simplex, measure-zero hull
         inside = np.ones(len(q), dtype=bool)
-        for normal, offset in halfspaces:
-            inside &= q @ normal <= offset + tol
+        for _, unit, offset in halfspaces:
+            inside &= q @ unit <= offset + tol
         return inside
     raise UnsupportedDimension(f"hull membership not implemented for d = {d}")
 

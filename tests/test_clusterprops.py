@@ -9,7 +9,6 @@ from clustertess import (
     Cluster,
     NotSimple,
     PointConfiguration,
-    PropertyMode,
     UnsupportedDimension,
     Window,
     circumball,
@@ -23,7 +22,7 @@ from clustertess import (
     voronoi_cell_centers,
     voronoi_property,
 )
-from helpers import BallSide, ball_contains, exhaustive_delone, hardcore_isolated, voronoi_vertices_brute_force
+from helpers import BallSide, ball_contains, circumball_scalar, exhaustive_delone, hardcore_isolated, voronoi_vertices_brute_force
 
 BIG = Window((-10.0, -10.0), (10.0, 10.0))
 
@@ -250,12 +249,15 @@ def test_delone_post_hoc_recheck():
 
 
 def test_delone_boundary_rule():
+    # the flag and the certainty ball come from the scalar circumball
     for rep in range(10):
         window = Window((0, 0), (1, 1))
         eta = sample_poisson_homogeneous(40.0, window, mix_seed(101, rep))
-        cfg = extract_clusters(delone_property(0.4), eta)
+        prop = delone_property(0.4)
+        cfg = extract_clusters(prop, eta)
         for cluster, uncertain in zip(cfg.clusters, cfg.boundary_uncertain):
-            ball = circumball(cluster)
+            ball = circumball_scalar(cluster)
+            assert prop.certainty_ball(cluster, eta) == ball
             inside = window.contains_ball(ball.center, ball.radius)
             assert uncertain == (not inside)
 
@@ -326,15 +328,6 @@ def test_voronoi_matches_equidistance_oracle():
         for g, e in zip(got, expected):
             assert np.linalg.norm(np.subtract(g, e)) <= 1e-9
     assert n_checked >= 5
-
-
-def test_voronoi_cells_never_in_configuration():
-    window = Window((0.0, 0.0), (1.0, 1.0))
-    prop = voronoi_property(window)
-    for rep in range(10):
-        eta = sample_poisson_homogeneous(25.0, window, mix_seed(121, rep))
-        in_mode = extract_clusters(prop, eta, mode=PropertyMode.IN_CONFIGURATION)
-        assert len(in_mode) == 0
 
 
 def test_voronoi_delone_duality():

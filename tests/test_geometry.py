@@ -21,9 +21,9 @@ from clustertess import (
     lattice_sites_in_window,
     make_rng,
 )
-from clustertess.geometry import FaceRelation
+from clustertess.geometry import FaceRelation, facet_planes
 
-from helpers import BallSide, ball_contains, lp_extreme_points
+from helpers import BallSide, ball_contains, circumball_scalar, facet_halfspaces_scalar, lp_extreme_points
 
 
 def test_circumball_right_isoceles_triangle():
@@ -92,13 +92,34 @@ def test_circumballs_match_circumball_bitwise(batch):
     centers, radii, ok = circumballs(np.array(batch, dtype=float))
     for k, simplex in enumerate(batch):
         try:
-            ball = circumball(Cluster(simplex))
+            ball = circumball_scalar(Cluster(simplex))
         except DegenerateSimplex:
             assert not ok[k]
             continue
         assert ok[k]
         assert _bits(centers[k]) == _bits(ball.center)
         assert _bits(radii[k]) == _bits(ball.radius)
+
+
+@settings(max_examples=400, deadline=None)
+@given(batch=simplex_batches())
+# a near-flat triangle whose pivots pass and whose facets fail
+@example(batch=[[(2, 0.8167681913491067), (1.500000001, 1.499999999), (1.499999999, 1.5)]])
+# a flat tetrahedron, and a subnormal edge
+@example(batch=[[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.5, 0.5, 0)]])
+@example(batch=[[(0.0, 0.0), (5e-324, 0.0), (0.5, 0.5)]])
+def test_facet_planes_match_scalar_halfspaces_bitwise(batch):
+    simplices = np.array(batch, dtype=float)
+    normals, units, offsets, ok = facet_planes(simplices)
+    for k, simplex in enumerate(batch):
+        try:
+            halfspaces = facet_halfspaces_scalar(simplex)
+        except DegenerateSimplex:
+            assert not ok[k]
+            continue
+        assert ok[k]
+        for part, got in zip(zip(*halfspaces), (normals[k], units[k], offsets[k])):
+            assert _bits(part) == _bits(got)
 
 
 def test_circumball_permutation_order_independence():

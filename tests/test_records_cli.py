@@ -158,6 +158,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         json.dumps({**record, "clusters": [{**triangle, "boundary_uncertain": [1]}]}): "clusters[0].boundary_uncertain",
         json.dumps({**record, "report": {"violations": 5}}): "report.violations",
         json.dumps({**record, "report": {"covered_fraction": "x"}}): "report.covered_fraction",
+        json.dumps({**record, "points": [[0.1, 0.1], [0.5, 0.5]], "multiplicities": [1.5, True]}): "'multiplicities'",
+        json.dumps({**record, "points": [["a", 0.1], [0.5, 0.5]], "multiplicities": [1, 1]}): "'points'",
+        json.dumps({**record, "points": [[0.1, 0.1], [0.5]], "multiplicities": [1, 1]}): "'points'",
     }
     commands = (("tessellate", "--property", "delone", "--radius-cap", "1"), ("validate",), ("render",))
     capsys.readouterr()

@@ -18,12 +18,13 @@ from clustertess import (
     deterministic_lattice,
     hardcore_property,
     lattice_sites_in_window,
+    make_rng,
     occupation_test,
     poisson_count_test,
     thinned_chain,
     tile_length_histogram,
 )
-from clustertess.stats import chi2_threshold
+from clustertess.stats import _border_corrected_rate, chi2_threshold
 
 UNIT = Window((0.0, 0.0), (1.0, 1.0))
 
@@ -91,6 +92,20 @@ def test_intensity_scan_hardcore_positive_and_stable():
     assert report.passed, report.details
     # rates are strictly positive (clusters exist at this density)
     assert all(float(part.split(": ")[1].split(" ")[0]) > 0 for part in report.details.split(", "))
+
+
+def test_border_corrected_rate_adds_left_to_right():
+    # bit for bit the per-cluster loop it replaced; radii above 1 leave
+    # no eroded volume and weigh nothing
+    window = Window((0.0, 0.0), (3.0, 2.0))
+    radii = make_rng(12).random(500) * 1.2
+    rate = 0.0
+    for r in radii:
+        eroded = window.extent() - 2.0 * r
+        if np.all(eroded > 0.0):
+            rate += 1.0 / float(np.prod(eroded))
+    assert _border_corrected_rate(radii, window).hex() == rate.hex()
+    assert _border_corrected_rate(np.empty(0), window) == 0.0
 
 
 def test_intensity_scan_validates_inputs():
