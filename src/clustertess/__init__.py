@@ -29,7 +29,6 @@ from .geometry import (
     common_face_check,
     convex_hull_vertices,
     is_discrete_polytope,
-    is_full_simplex,
 )
 from .pointproc import (
     DiscreteIntensity,

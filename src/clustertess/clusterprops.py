@@ -206,13 +206,13 @@ def hardcore_property(r: float) -> ClusterProperty:
         raise ValueError(f"hard-core radius must be positive, got {r}")
 
     def build(eta: PointConfiguration) -> dict:
-        pts, w = eta.points, eta.window
+        pts = eta.points
         i, j = cKDTree(pts).query_pairs(r * _REACH + _REACH_FLOOR, output_type="ndarray").T
         dist = np.linalg.norm(pts[j] - pts[i], axis=1)
         close = (dist > 0.0) & (dist < r)
         member = np.ones(len(pts), dtype=bool)
         member[i[close]] = member[j[close]] = False
-        uncertain = np.minimum(pts - w._low, w._high - pts).min(axis=1) < r  # boundary_distance
+        uncertain = eta.window.boundary_distance(pts) < r
         return _table(pts, np.arange(len(pts))[:, None], member, uncertain)
 
     def certainty_ball(cluster: Cluster, eta: PointConfiguration) -> Ball:
@@ -225,13 +225,13 @@ def hardcore_property(r: float) -> ClusterProperty:
 # Delone simplices with capped circumradius
 
 
-def _delone_candidate_rows(pts: np.ndarray, tree: cKDTree, radius_cap: float, eps: float) -> np.ndarray:
+def _delone_candidate_rows(pts: np.ndarray, tree: cKDTree, radius_cap: float) -> np.ndarray:
     """Index rows of the Delone candidates, each ascending, unique and in
     lexicographic order.
 
     Each Delaunay simplex (Qhull; in d = 1 an adjacent pair) under the
-    cap grows into every point within 8 eps of its circumsphere, and all
-    (d+1)-subsets of that group become candidates. Qhull triangulates a
+    cap grows into every point within 8 EPS_GEOM of its circumsphere, and
+    all (d+1)-subsets of that group become candidates. Qhull triangulates a
     cocircular group one way only, while the open ball admits all its
     simplices; and it resolves near-cocircular groups only to its own
     precision, which a thin simplex coarsens: of (0, 0), (1e-9, 0),
@@ -255,12 +255,12 @@ def _delone_candidate_rows(pts: np.ndarray, tree: cKDTree, radius_cap: float, ep
         except QhullError:  # affinely degenerate input, e.g. all collinear
             pass
     # An admitted open-ball simplex S off Qhull's triangulation sits off
-    # the sphere of a simplex T of its group by up to eps * vol(S) / vol(T).
-    # In the plane one of the two triangles on a quadrilateral holds half
-    # its area, so 2 eps covers that case; 8 eps leaves room for larger
-    # groups and d = 3.
-    slack = 1.0 + 8.0 * eps
-    centers, radii, ok = circumballs(pts[rows], eps)
+    # the sphere of a simplex T of its group by up to EPS_GEOM * vol(S) /
+    # vol(T). In the plane one of the two triangles on a quadrilateral
+    # holds half its area, so 2 EPS_GEOM covers that case; 8 EPS_GEOM
+    # leaves room for larger groups and d = 3.
+    slack = 1.0 + 8.0 * EPS_GEOM
+    centers, radii, ok = circumballs(pts[rows])
     good = ok & (radii <= radius_cap * slack)
     groups = tree.query_ball_point(centers[good], radii[good] * slack, return_sorted=True)
     grown = {c for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
@@ -270,7 +270,7 @@ def _delone_candidate_rows(pts: np.ndarray, tree: cKDTree, radius_cap: float, ep
     return np.unique(np.array(list(grown), dtype=np.intp).reshape(-1, d + 1), axis=0)
 
 
-def _delone_table(eta: PointConfiguration, radius_cap: float, open_ball_mode: bool, eps: float):
+def _delone_table(eta: PointConfiguration, radius_cap: float, open_ball_mode: bool):
     """The Delone candidates under the cap, as (rows, centers, radii,
     member): index rows in lexicographic order, their circumballs (bit
     for bit `circumball`'s) and whether each punctured circumball is
@@ -281,11 +281,11 @@ def _delone_table(eta: PointConfiguration, radius_cap: float, open_ball_mode: bo
     """
     pts = eta.points
     tree = cKDTree(pts)
-    rows = _delone_candidate_rows(pts, tree, radius_cap, eps)
-    centers, radii, ok = circumballs(pts[rows], eps)
+    rows = _delone_candidate_rows(pts, tree, radius_cap)
+    centers, radii, ok = circumballs(pts[rows])
     under = ok & (radii <= radius_cap)
     rows, centers, radii = rows[under], centers[under], radii[under]
-    band = eps * radii
+    band = EPS_GEOM * radii
     hits = tree.query_ball_point(centers, (radii + band) * _REACH + _REACH_FLOOR)
     owner = np.repeat(np.arange(len(rows)), [len(h) for h in hits])
     k = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(owner))
@@ -299,9 +299,7 @@ def _delone_table(eta: PointConfiguration, radius_cap: float, open_ball_mode: bo
     return rows, centers, radii, member
 
 
-def delone_property(
-    radius_cap: float, open_ball_mode: bool = False, eps: float = EPS_GEOM
-) -> ClusterProperty:
+def delone_property(radius_cap: float, open_ball_mode: bool = False) -> ClusterProperty:
     """Full-dimensional simplices with circumradius at most the cap and
     an empty punctured circumball.
 
@@ -321,11 +319,9 @@ def delone_property(
         raise ValueError(f"radius cap must be positive, got {radius_cap}")
 
     def build(eta: PointConfiguration) -> dict:
-        rows, centers, radii, member = _delone_table(eta, radius_cap, open_ball_mode, eps)
-        w = eta.window
-        # contains_ball, elementwise
-        inside = (centers - radii[:, None] >= w._low) & (centers + radii[:, None] <= w._high)
-        return _table(eta.points, rows, member, ~inside.all(axis=1), centers, radii)
+        rows, centers, radii, member = _delone_table(eta, radius_cap, open_ball_mode)
+        uncertain = ~eta.window.contains_ball(centers, radii)
+        return _table(eta.points, rows, member, uncertain, centers, radii)
 
     table_of = _memo(build)
 
@@ -341,7 +337,7 @@ def delone_property(
 # Voronoi cell vertex sets (d = 2), by duality with empty circumballs
 
 
-def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool, eps: float):
+def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool):
     """Bounded Voronoi cells of a planar configuration, by duality.
 
     Returns {cell cluster: (center point, certain flag)}. The vertices
@@ -354,7 +350,7 @@ def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool, ep
         raise UnsupportedDimension("the Voronoi property is implemented for d = 2 only")
     if not eta.is_simple:
         raise NotSimple("Voronoi cells by duality require a simple configuration")
-    rows, centers, _, member = _delone_table(eta, cap, open_ball_mode, eps)
+    rows, centers, _, member = _delone_table(eta, cap, open_ball_mode)
     rows, centers = rows[member], centers[member]
     # (center, neighbour) incidences, one per triangle and ordered vertex pair
     pairs = rows[:, [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]].reshape(-1, 2)
@@ -371,33 +367,29 @@ def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool, ep
         angles = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
         order = np.argsort(angles, kind="stable")
         ordered = verts[order]
-        scale = max(1.0, float(np.abs(ordered).max()))
+        tol = EPS_GEOM * max(1.0, float(np.abs(ordered).max()))
         keep = [0]
         for k in range(1, len(ordered)):
-            if np.linalg.norm(ordered[k] - ordered[keep[-1]]) > eps * scale:
+            if np.linalg.norm(ordered[k] - ordered[keep[-1]]) > tol:
                 keep.append(k)
-        if len(keep) > 1 and np.linalg.norm(ordered[keep[-1]] - ordered[keep[0]]) <= eps * scale:
+        if len(keep) > 1 and np.linalg.norm(ordered[keep[-1]] - ordered[keep[0]]) <= tol:
             keep.pop()
         if len(keep) < 3:
             continue
         cell = Cluster(tuple(ordered[k]) for k in keep)
         radii = np.linalg.norm(ordered[keep] - center, axis=1)
-        certain = all(eta.window.contains_ball(tuple(v), float(r)) for v, r in zip(ordered[keep], radii))
+        certain = bool(eta.window.contains_ball(ordered[keep], radii).all())
         out[cell] = (tuple(center), certain)
     return out
 
 
-def voronoi_cell_centers(
-    eta: PointConfiguration, window: Window, eps: float = EPS_GEOM
-) -> dict:
+def voronoi_cell_centers(eta: PointConfiguration, window: Window) -> dict:
     """Map from each bounded Voronoi cell cluster to its center point."""
     cap = 2.0 * window.diameter()
-    return {c: ctr for c, (ctr, _) in _voronoi_cells(eta, cap, False, eps).items()}
+    return {c: ctr for c, (ctr, _) in _voronoi_cells(eta, cap, False).items()}
 
 
-def voronoi_property(
-    window: Window, open_ball_mode: bool = False, eps: float = EPS_GEOM
-) -> ClusterProperty:
+def voronoi_property(window: Window, open_ball_mode: bool = False) -> ClusterProperty:
     """Vertex sets of bounded Voronoi cells in the plane.
 
     Candidates come from duality with the Delone table (radius capped
@@ -415,7 +407,7 @@ def voronoi_property(
     cap = 2.0 * window.diameter()
 
     def build(eta: PointConfiguration) -> dict:
-        cells = _voronoi_cells(eta, cap, open_ball_mode, eps)
-        return {cell: (is_discrete_polytope(cell, eps), not certain) for cell, (_, certain) in cells.items()}
+        cells = _voronoi_cells(eta, cap, open_ball_mode)
+        return {cell: (is_discrete_polytope(cell), not certain) for cell, (_, certain) in cells.items()}
 
     return _table_property("voronoi", PropertyMode.FOR_CONFIGURATION, _memo(build))

@@ -81,11 +81,10 @@ class Chain:
         return len(self.vertices)
 
 
-def band_points(
-    x_lo: float, x_hi: float, half_width: float, eps: float = EPS_GEOM
-) -> List[LatticeIndex]:
+def band_points(x_lo: float, x_hi: float, half_width: float) -> List[LatticeIndex]:
     """Lattice indices with projection in [x_lo, x_hi] and internal
-    projection within +-half_width (boundary inclusive within eps).
+    projection within +-half_width (boundary inclusive within EPS_GEOM,
+    relative).
 
     Enumeration is exact: v runs over the integer range forced by the
     two constraints combined, and for each v only the one or two
@@ -97,7 +96,7 @@ def band_points(
     # pi - pi_star = 2 v sqrt(2), so v is confined to this range
     v_min = math.ceil((x_lo - half_width) / (2.0 * SQRT2)) - 1
     v_max = math.floor((x_hi + half_width) / (2.0 * SQRT2)) + 1
-    tol = eps * max(1.0, abs(x_lo), abs(x_hi), half_width)
+    tol = EPS_GEOM * max(1.0, abs(x_lo), abs(x_hi), half_width)
     for v in range(v_min, v_max + 1):
         shift = v * SQRT2
         # intersect u + shift in [x_lo, x_hi] with |u - shift| <= half_width
@@ -112,31 +111,32 @@ def band_points(
     return out
 
 
-def strip_points(x_lo: float, x_hi: float, eps: float = EPS_GEOM) -> List[LatticeIndex]:
+def strip_points(x_lo: float, x_hi: float) -> List[LatticeIndex]:
     """Lattice indices inside the silver-mean strip with projection in
     [x_lo, x_hi], sorted by projection."""
-    return band_points(x_lo, x_hi, STRIP_HALF_WIDTH, eps)
+    return band_points(x_lo, x_hi, STRIP_HALF_WIDTH)
 
 
-def chain_from_points(xs: Sequence[float], eps: float = EPS_GEOM) -> Chain:
+def chain_from_points(xs: Sequence[float]) -> Chain:
     """Sort chain vertices; each adjacent pair is one tile.
 
     Adjacency is exactly the two-point cluster relation for a
     one-dimensional configuration: a pair is a tile iff the open
-    interval between its members contains no other vertex.
+    interval between its members contains no other vertex. Vertices
+    within EPS_GEOM (relative) of each other raise DuplicatePoints.
     """
     values = sorted(float(x) for x in xs)
     if values:
         scale = max(1.0, max(abs(v) for v in values))
         for a, b in zip(values, values[1:]):
-            if b - a <= eps * scale:
+            if b - a <= EPS_GEOM * scale:
                 raise DuplicatePoints(f"chain vertices {a} and {b} coincide within tolerance")
     return Chain(tuple(values))
 
 
-def deterministic_chain(x_lo: float, x_hi: float, eps: float = EPS_GEOM) -> Chain:
+def deterministic_chain(x_lo: float, x_hi: float) -> Chain:
     """The silver-mean chain itself: projections of the strip lattice."""
-    return chain_from_points([e.pi for e in strip_points(x_lo, x_hi, eps)], eps)
+    return chain_from_points([e.pi for e in strip_points(x_lo, x_hi)])
 
 
 def _strip_window(x_lo: float, x_hi: float, pad: float) -> Window:
@@ -146,7 +146,7 @@ def _strip_window(x_lo: float, x_hi: float, pad: float) -> Window:
     )
 
 
-def thinned_chain(c: float, x_lo: float, x_hi: float, seed: int, eps: float = EPS_GEOM) -> Chain:
+def thinned_chain(c: float, x_lo: float, x_hi: float, seed: int) -> Chain:
     """Chain of a random lattice subset: each strip site survives
     independently with probability 1 - exp(-c).
 
@@ -157,23 +157,16 @@ def thinned_chain(c: float, x_lo: float, x_hi: float, seed: int, eps: float = EP
     """
     if c <= 0.0:
         raise ValueError(f"per-site mass must be positive, got {c}")
-    sites = strip_points(x_lo, x_hi, eps)
+    sites = strip_points(x_lo, x_hi)
     if not sites:
         return Chain(())
     rho = DiscreteIntensity(tuple(e.embed() for e in sites), c)
     eta = sample_poisson_discrete(rho, seed, window=_strip_window(x_lo, x_hi, 1.0))
     kept = support(eta)
-    return chain_from_points(kept.points[:, 0].tolist(), eps)
+    return chain_from_points(kept.points[:, 0].tolist())
 
 
-def shifted_chain(
-    epsilon: float,
-    base: ProcessSampler,
-    x_lo: float,
-    x_hi: float,
-    seed: int,
-    eps: float = EPS_GEOM,
-) -> Chain:
+def shifted_chain(epsilon: float, base: ProcessSampler, x_lo: float, x_hi: float, seed: int) -> Chain:
     """Chain of the barycentre-shifted lattice.
 
     Every lattice point whose epsilon-ball can reach the strip and the
@@ -191,19 +184,19 @@ def shifted_chain(
         raise EpsilonTooLarge(
             f"epsilon = {epsilon} reaches half the minimal lattice distance {MIN_LATTICE_DISTANCE / 2}"
         )
-    sites = band_points(x_lo - epsilon, x_hi + epsilon, STRIP_HALF_WIDTH + epsilon, eps)
+    sites = band_points(x_lo - epsilon, x_hi + epsilon, STRIP_HALF_WIDTH + epsilon)
     if not sites:
         return Chain(())
     window = _strip_window(x_lo, x_hi, 2.0 * epsilon + 0.5)
     eta = base(window, seed)
     shifted = barycentre_shift(eta, [e.embed() for e in sites], epsilon)
-    tol = eps * max(1.0, abs(x_lo), abs(x_hi))
+    tol = EPS_GEOM * max(1.0, abs(x_lo), abs(x_hi))
     xs = [
         float(p[0])
         for p in shifted.points
         if abs(p[1]) <= STRIP_HALF_WIDTH + tol and x_lo - tol <= p[0] <= x_hi + tol
     ]
-    return chain_from_points(xs, eps)
+    return chain_from_points(xs)
 
 
 def decompose_length(

@@ -6,10 +6,10 @@ kernels everything else is built on: circumballs and facet planes of
 simplices, convex hulls and extreme points (Qhull, d <= 3), and the
 pairwise face-to-face test.
 
-All predicates share one relative tolerance (EPS_GEOM by default).
-Circumballs and facet planes each have one batched implementation,
-`circumballs` and `facet_planes`; `circumball` is `circumballs` on one
-simplex.
+There is one relative tolerance, EPS_GEOM. Every predicate reads it
+where its test is made, and it cannot be set per call. Circumballs and
+facet planes each have one batched implementation, `circumballs` and
+`facet_planes`; `circumball` is `circumballs` on one simplex.
 """
 
 from __future__ import annotations
@@ -72,18 +72,11 @@ class Cluster:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
 
-    def translate(self, shift: PointLike) -> "Cluster":
-        t = tuple(float(c) for c in shift)
-        return Cluster(tuple(c + dc for c, dc in zip(p, t)) for p in self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
     def __iter__(self):
         return iter(self.points)
-
-    def __contains__(self, point) -> bool:
-        return tuple(float(c) for c in point) in self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Cluster) and self._key == other._key
@@ -117,7 +110,7 @@ class FaceRelation(Enum):
     IMPROPER = "improper"
 
 
-def circumball(simplex: Cluster, eps: float = EPS_GEOM) -> Ball:
+def circumball(simplex: Cluster) -> Ball:
     """Circumball of a full-dimensional simplex (d+1 points in R^d), by
     one `circumballs` call. Raises DegenerateSimplex on a wrong point
     count and where `circumballs` finds the vertices affinely dependent.
@@ -127,23 +120,23 @@ def circumball(simplex: Cluster, eps: float = EPS_GEOM) -> Ball:
         raise DegenerateSimplex(
             f"a full-dimensional simplex in R^{d} needs {d + 1} points, got {len(simplex)}"
         )
-    centers, radii, ok = circumballs(simplex.as_array()[None], eps)
+    centers, radii, ok = circumballs(simplex.as_array()[None])
     if not ok[0]:
         raise DegenerateSimplex("affinely dependent vertices")
     return Ball(tuple(centers[0].tolist()), float(radii[0]))
 
 
-def circumballs(simplices: np.ndarray, eps: float = EPS_GEOM):
+def circumballs(simplices: np.ndarray):
     """Circumballs of m simplices, an (m, d+1, d) array: (centers (m, d),
     radii (m,), ok (m,)).
 
     Solves the pairwise-equidistance system 2(v_i - v_0) . x = |v_i|^2 -
     |v_0|^2 of each simplex by Gaussian elimination with partial
-    pivoting. ok is False where a pivot is at most max(eps times the
-    matrix scale, the smallest normal float): the vertices are affinely
-    dependent, or the reciprocal of a subnormal pivot would overflow.
-    Sums run term by term, left to right, a zero factor skips its row
-    update, and radius terms are squared by libm `pow`
+    pivoting. ok is False where a pivot is at most max(EPS_GEOM times
+    the matrix scale, the smallest normal float): the vertices are
+    affinely dependent, or the reciprocal of a subnormal pivot would
+    overflow. Sums run term by term, left to right, a zero factor skips
+    its row update, and radius terms are squared by libm `pow`
     (`np.float_power`), so that the results equal the scalar
     elimination's in the test oracles bit for bit.
     """
@@ -154,7 +147,7 @@ def circumballs(simplices: np.ndarray, eps: float = EPS_GEOM):
     # cumsum adds left to right, as Python's `sum`; its last entry is the sum
     b = np.cumsum(s[:, 1:] * s[:, 1:], axis=2)[..., -1] - np.cumsum(p0 * p0, axis=1)[:, -1:]
     scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-    tol = np.maximum(eps * scale, sys.float_info.min)
+    tol = np.maximum(EPS_GEOM * scale, sys.float_info.min)
     ok = scale != 0.0
     each = np.arange(m)
     with np.errstate(all="ignore"):  # degenerate rows run on, unused
@@ -181,24 +174,20 @@ def circumballs(simplices: np.ndarray, eps: float = EPS_GEOM):
     return centers, radii, ok
 
 
-def is_full_simplex(cluster: Cluster, eps: float = EPS_GEOM) -> bool:
-    """True iff the cluster is d+1 affinely independent points in R^d."""
-    return len(cluster) == cluster.dimension + 1 and bool(circumballs(cluster.as_array()[None], eps)[2][0])
-
-
-def is_discrete_polytope(cluster: Cluster, eps: float = EPS_GEOM) -> bool:
+def is_discrete_polytope(cluster: Cluster) -> bool:
     """True iff every point of the cluster is an extreme point of its
     hull, for d <= 3 (UnsupportedDimension above). Counts the vertices
-    `convex_hull_vertices` keeps, so `eps` is its rank tolerance."""
-    return len(convex_hull_vertices(cluster, eps)) == len(cluster)
+    `convex_hull_vertices` keeps."""
+    return len(convex_hull_vertices(cluster)) == len(cluster)
 
 
-def convex_hull_vertices(cluster: Cluster, eps: float = EPS_GEOM) -> Cluster:
+def convex_hull_vertices(cluster: Cluster) -> Cluster:
     """Extreme points of the convex hull, for ambient dimension d <= 3.
 
     Degenerate (lower-dimensional) inputs are reduced to their affine
     span first, so collinear point sets in the plane still return their
-    two endpoints.
+    two endpoints. The rank counts the singular values above EPS_GEOM
+    times the largest.
     """
     d = cluster.dimension
     if d > 3:
@@ -212,7 +201,7 @@ def convex_hull_vertices(cluster: Cluster, eps: float = EPS_GEOM) -> Cluster:
     centered = pts - centroid
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     top = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > eps * top))
+    rank = int(np.sum(svals > EPS_GEOM * top))
 
     if rank == 0:
         # distinct points cannot all coincide; defensive only
@@ -229,7 +218,7 @@ def convex_hull_vertices(cluster: Cluster, eps: float = EPS_GEOM) -> Cluster:
     return Cluster(sorted(cluster.points[i] for i in keep))
 
 
-def facet_planes(simplices: np.ndarray, eps: float = EPS_GEOM):
+def facet_planes(simplices: np.ndarray):
     """Facet planes of m simplices, an (m, d+1, d) array, d <= 3; facet
     k omits vertex k. Returns (normals, units, offsets, ok):
 
@@ -240,10 +229,10 @@ def facet_planes(simplices: np.ndarray, eps: float = EPS_GEOM):
       (d-1)! times its facet's measure.
     - units (m, d+1, d) and offsets (m, d+1): the inward halfspaces
       units . x <= offsets, through each facet's first vertex.
-    - ok (m,): False where some normal's length is at most eps *
-      span**(d-1), span being 1 plus the largest coordinate magnitude of
-      the simplex: the simplex is degenerate, and its units and offsets
-      are not meaningful.
+    - ok (m,): False where some normal's length is at most
+      EPS_GEOM * span**(d-1), span being 1 plus the largest coordinate
+      magnitude of the simplex: the simplex is degenerate, and its units
+      and offsets are not meaningful.
 
     Lengths, offsets and orientations are dot products through
     `np.linalg.norm`'s own BLAS dot product (a stacked 1 x d @ d x 1
@@ -263,7 +252,7 @@ def facet_planes(simplices: np.ndarray, eps: float = EPS_GEOM):
         normals = np.cross(facets[:, :, 1] - facets[:, :, 0], facets[:, :, 2] - facets[:, :, 0])
     norm = np.sqrt(_dot(normals, normals))
     span = np.abs(s).max(axis=(1, 2)) + 1.0
-    ok = np.all(norm > (eps * np.float_power(span, d - 1))[:, None], axis=1)
+    ok = np.all(norm > (EPS_GEOM * np.float_power(span, d - 1))[:, None], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # degenerate facets run on, unused
         units = normals / norm[..., None]
         offsets = _dot(units, facets[:, :, 0])
@@ -288,7 +277,9 @@ def _intersection_vertices(normals: np.ndarray, offsets: np.ndarray, d: int, ato
         if d == 1:
             x = np.array([b[0] / a[0][0]])
         else:
-            if abs(np.linalg.det(a)) < SINGULAR_DET:
+            with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
+                singular = abs(np.linalg.det(a)) < SINGULAR_DET
+            if singular:
                 continue
             x = np.linalg.solve(a, b)
         if np.all(normals @ x <= offsets + atol):
@@ -317,7 +308,7 @@ def _match_point_sets(a: list, b: list, atol: float) -> bool:
     return True
 
 
-def common_face_check(x: Cluster, y: Cluster, eps: float = EPS_GEOM) -> FaceRelation:
+def common_face_check(x: Cluster, y: Cluster) -> FaceRelation:
     """How the convex hulls of two discrete simplices meet.
 
     DISJOINT     the hulls do not intersect at all;
@@ -336,7 +327,7 @@ def common_face_check(x: Cluster, y: Cluster, eps: float = EPS_GEOM) -> FaceRela
 
     ax, ay = x.as_array(), y.as_array()
     scale = max(1.0, float(np.abs(ax).max()), float(np.abs(ay).max()))
-    atol = eps * scale
+    atol = EPS_GEOM * scale
 
     # shared vertices, matched within tolerance
     shared = []
@@ -360,7 +351,7 @@ def common_face_check(x: Cluster, y: Cluster, eps: float = EPS_GEOM) -> FaceRela
     if len(shared) == d + 1:
         return FaceRelation.COMMON_FACE  # identical simplices
 
-    normals, units, offsets, ok = facet_planes(np.stack([ax, ay]), eps)
+    normals, units, offsets, ok = facet_planes(np.stack([ax, ay]))
     if len(shared) == d:
         # shared facet: face-to-face iff the two leftover vertices lie
         # strictly on opposite sides of the facet hyperplane

@@ -11,7 +11,7 @@ All samplers are pure functions of (parameters, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -76,16 +76,16 @@ class Window:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return ((pts >= self._low) & (pts <= self._high)).all(axis=1)
 
-    def contains_ball(self, center: Sequence[float], radius: float) -> bool:
-        return all(
-            c - radius >= l and c + radius <= h
-            for c, l, h in zip(center, self.low, self.high)
-        )
+    def contains_ball(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Whether each ball lies in the window; centers (..., d), radii (...)."""
+        c = np.asarray(centers, dtype=float)
+        r = np.asarray(radii, dtype=float)[..., None]
+        return ((c - r >= self._low) & (c + r <= self._high)).all(axis=-1)
 
-    def boundary_distance(self, point: Sequence[float]) -> float:
-        return min(
-            min(c - l, h - c) for c, l, h in zip(point, self.low, self.high)
-        )
+    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
+        """Distance of each point (..., d) to the window's boundary."""
+        p = np.asarray(points, dtype=float)
+        return np.minimum(p - self._low, self._high - p).min(axis=-1)
 
 
 class PointConfiguration:
@@ -148,10 +148,6 @@ class PointConfiguration:
     @property
     def is_simple(self) -> bool:
         return bool(np.all(self.multiplicities == 1))
-
-    def atoms(self) -> Iterator[Tuple[Tuple[float, ...], int]]:
-        for p, m in zip(self.points, self.multiplicities):
-            yield tuple(p), int(m)
 
     def __len__(self) -> int:
         return self.n_atoms

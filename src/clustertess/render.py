@@ -5,9 +5,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import ConfigError, UnsupportedDimension
+import numpy as np
+
+from .errors import ConfigError, DegenerateSimplex, UnsupportedDimension
 from .cutproject import STRIP_HALF_WIDTH
-from .geometry import Cluster, circumball
+from .geometry import Cluster, circumballs
 from .records import record_to_objects
 from .svg import SvgCanvas
 
@@ -59,8 +61,11 @@ def render_record(
     if style == "points":
         _frame(canvas, wm, d)
         if clusters is not None:
-            for cl, uncertain in zip(clusters.clusters, clusters.boundary_uncertain):
-                _draw_cluster(canvas, wm, d, cl, uncertain, show_circumcircles)
+            circles = [None] * len(clusters)
+            if show_circumcircles and d == 2:
+                circles = _circumcircles(clusters.clusters)
+            for cl, uncertain, circle in zip(clusters.clusters, clusters.boundary_uncertain, circles):
+                _draw_cluster(canvas, wm, d, cl, uncertain, circle)
         _draw_atoms(canvas, wm, d, eta)
         return canvas.to_string()
 
@@ -124,8 +129,25 @@ def _draw_atoms(canvas: SvgCanvas, wm: _WorldMap, d: int, eta) -> None:
         canvas.circle(cx, cy, _DOT, stroke="none", fill="black")
 
 
+def _circumcircles(clusters) -> list:
+    """Per cluster, the (center, radius) of its circumball if it has
+    three points, else None, from one `circumballs` call. A three-point
+    cluster that is not a planar triangle raises DegenerateSimplex."""
+    triangles = [k for k, c in enumerate(clusters) if len(c) == 3]
+    if any(clusters[k].dimension != 2 for k in triangles):
+        raise DegenerateSimplex("a circumcircle needs a triangle in the plane")
+    simplices = np.array([clusters[k].points for k in triangles], dtype=float).reshape(-1, 3, 2)
+    centers, radii, ok = circumballs(simplices)
+    if not ok.all():
+        raise DegenerateSimplex("affinely dependent vertices")
+    circles = [None] * len(clusters)
+    for k, center, radius in zip(triangles, centers.tolist(), radii.tolist()):
+        circles[k] = (center, radius)
+    return circles
+
+
 def _draw_cluster(
-    canvas: SvgCanvas, wm: _WorldMap, d: int, cluster: Cluster, uncertain: bool, circles: bool
+    canvas: SvgCanvas, wm: _WorldMap, d: int, cluster: Cluster, uncertain: bool, circle: Optional[tuple]
 ) -> None:
     stroke = "silver" if uncertain else "forestgreen"
     pts = [_locate(wm, d, p) for p in cluster.points]
@@ -135,11 +157,6 @@ def _draw_cluster(
         canvas.line(pts[0][0], pts[0][1], pts[1][0], pts[1][1], stroke=stroke)
     else:
         canvas.polygon(pts, stroke=stroke)
-    if circles and d == 2 and len(cluster) == 3:
-        ball = circumball(cluster)
-        canvas.circle(
-            wm.x(ball.center[0]),
-            wm.y(ball.center[1]),
-            ball.radius * wm.scale,
-            stroke="goldenrod",
-        )
+    if circle is not None:
+        (cx, cy), radius = circle
+        canvas.circle(wm.x(cx), wm.y(cy), radius * wm.scale, stroke="goldenrod")

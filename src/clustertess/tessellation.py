@@ -27,6 +27,7 @@ from .geometry import (
 from .clusterprops import ClusterConfiguration
 from .pointproc import Window
 from .randomness import make_rng
+from .stats import SIGMA_BAND
 
 
 @dataclass
@@ -45,20 +46,20 @@ class TessellationReport:
             raise ValueError("covered fraction must lie in [0, 1]")
 
 
-def check_simplicial(cfg: ClusterConfiguration, d: int, eps: float = EPS_GEOM) -> bool:
+def check_simplicial(cfg: ClusterConfiguration, d: int) -> bool:
     """True iff every cluster is d+1 affinely independent points in R^d,
     by `circumball`'s degeneracy rule (one batched `circumballs` call)."""
     if not all(c.dimension == d and len(c) == d + 1 for c in cfg.clusters):
         return False
     simplices = np.array([c.points for c in cfg.clusters], dtype=float).reshape(-1, d + 1, d)
-    return bool(circumballs(simplices, eps)[2].all())
+    return bool(circumballs(simplices)[2].all())
 
 
-def check_face_to_face(cfg: ClusterConfiguration, eps: float = EPS_GEOM) -> TessellationReport:
+def check_face_to_face(cfg: ClusterConfiguration) -> TessellationReport:
     """Pairwise face-to-face check over all clusters of the configuration.
 
     Candidate pairs are those whose bounding boxes overlap within
-    atol = eps * scale (scale: the largest coordinate magnitude, at
+    atol = EPS_GEOM * scale (scale: the largest coordinate magnitude, at
     least 1), found by a sort-and-sweep on the lowest x. All candidate
     pairs are then decided at once, in numpy, with the shared-vertex
     rule and per-pair tolerance of `common_face_check`:
@@ -92,22 +93,23 @@ def check_face_to_face(cfg: ClusterConfiguration, eps: float = EPS_GEOM) -> Tess
     if not clusters:
         return TessellationReport(face_to_face=True, violations=(), simplicial=True)
     d = clusters[0].dimension
-    if not check_simplicial(cfg, d, eps):
+    if not check_simplicial(cfg, d):
         raise NonSimplicialInput(
             "face-to-face checking needs discrete simplices; run check_simplicial first"
         )
     verts = np.array([c.points for c in clusters], dtype=float)
     lows, highs = verts.min(axis=1), verts.max(axis=1)
-    atol = eps * max(1.0, float(np.abs(verts).max()))
+    atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
     i, j = _box_overlap_pairs(lows, highs, atol)
     verdict = np.full(len(i), _UNDECIDED)
     if d <= 3:  # above, the scalar test raises UnsupportedDimension
-        normals = facet_planes(verts, eps)[0]
+        normals = facet_planes(verts)[0]
+        shape = _simplex_shape(verts, normals)
         for s in range(0, len(i), _BLOCK):
             a, b = i[s : s + _BLOCK], j[s : s + _BLOCK]
-            verdict[s : s + _BLOCK] = _pair_verdicts(verts[a], verts[b], normals[a], normals[b], eps)
+            verdict[s : s + _BLOCK] = _pair_verdicts(verts, normals, shape, a, b)
     for k in np.nonzero(verdict == _UNDECIDED)[0]:
-        relation = common_face_check(clusters[i[k]], clusters[j[k]], eps)
+        relation = common_face_check(clusters[i[k]], clusters[j[k]])
         verdict[k] = _IMPROPER if relation is FaceRelation.IMPROPER else _PROPER
     improper = verdict == _IMPROPER
     violations = tuple(zip(i[improper].tolist(), j[improper].tolist()))
@@ -160,14 +162,28 @@ def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float):
     return i[ranked], j[ranked]
 
 
-def _pair_verdicts(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray, eps: float) -> np.ndarray:
+def _simplex_shape(verts: np.ndarray, normals: np.ndarray):
+    """Per simplex of a batch, with its facet normals (`facet_planes`):
+    the inradius, as d! times the volume over the sum of the normals'
+    lengths, the longest edge, and which facet normals are sound
+    (`_facet_sound`)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # subnormal edges
+        volume = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))  # d! times the volume
+        inradius = volume / np.linalg.norm(normals, axis=-1).sum(axis=1)
+    longest = np.linalg.norm(_edges(verts), axis=-1).max(axis=1)
+    return inradius, longest, _facet_sound(verts, normals)
+
+
+def _pair_verdicts(verts: np.ndarray, normals: np.ndarray, shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_PROPER, _IMPROPER or _UNDECIDED for each pair of simplices
-    (x[p], y[p]), d <= 3, with the rules of `check_face_to_face`; nx
-    and ny are their facet normals (`facet_planes`)."""
+    (verts[a[p]], verts[b[p]]), d <= 3, with the rules of
+    `check_face_to_face`; normals are the simplices' facet normals
+    (`facet_planes`) and shape their `_simplex_shape`."""
+    x, y = verts[a], verts[b]
     n_pairs, n, d = x.shape
     verdict = np.full(n_pairs, _UNDECIDED)
     scale = np.maximum(1.0, np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(y).max(axis=(1, 2))))
-    atol = eps * scale
+    atol = EPS_GEOM * scale
 
     # shared vertices: the scalar matches vertices within atol; decide
     # only where matched vertices are identical and all others at least
@@ -184,14 +200,11 @@ def _pair_verdicts(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     # beyond it (D the longest edge, r the inradius, taken as at least
     # atol). The margin, four times what both slacks reach together
     # (16 atol for two intervals), keeps the scalar's verdict the same.
-    normals, sound, reach = [], [], np.zeros(n_pairs)
-    for s, facet_normals in ((x, nx), (y, ny)):
-        with np.errstate(divide="ignore", invalid="ignore"):  # subnormal edges
-            volume = np.abs(np.linalg.det(s[:, 1:] - s[:, :1]))  # d! times the volume
-        inradius = np.maximum(volume / np.linalg.norm(facet_normals, axis=-1).sum(axis=1), atol)
-        normals.append(facet_normals)
-        sound.append(_facet_sound(s, facet_normals))
-        reach += np.linalg.norm(_edges(s), axis=-1).max(axis=1) / inradius
+    inradius, longest, facet_sound = shape
+    normals, sound = [normals[a], normals[b]], [facet_sound[a], facet_sound[b]]
+    reach = np.zeros(n_pairs)
+    for simplex in (a, b):
+        reach += longest[simplex] / np.maximum(inradius[simplex], atol)
     margin = 4.0 * atol * reach
 
     verdict[clear & (k == n)] = _PROPER
@@ -204,7 +217,8 @@ def _pair_verdicts(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     rest = np.nonzero(clear & (k < d))[0]
     axes = _unit(np.concatenate([normals[0][rest], normals[1][rest]], axis=1))
     subsets = np.array(list(itertools.combinations(range(2 * n), d)))
-    det = np.abs(np.linalg.det(axes[:, subsets]))
+    with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
+        det = np.abs(np.linalg.det(axes[:, subsets]))
     conditioned = np.all((det < SINGULAR_DET / 2) | (det >= _WELL_CONDITIONED_DET), axis=1)
     rest, axes = rest[conditioned], axes[conditioned]
     axes_sound = np.concatenate([sound[0][rest], sound[1][rest]], axis=1)
@@ -290,14 +304,12 @@ def _sound(axes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(axes, axis=-1) >= bound
 
 
-def hull_contains_points(
-    cluster: Cluster, queries: np.ndarray, eps: float = EPS_GEOM
-) -> np.ndarray:
+def hull_contains_points(cluster: Cluster, queries: np.ndarray) -> np.ndarray:
     """Membership of query points in the convex hull of a cluster.
 
     Supports intervals (d = 1), convex polygons (d = 2, any vertex
     count) and simplices in d = 3, each by inward halfspace tests with
-    tolerance tol = eps * max(1, largest vertex coordinate magnitude):
+    tolerance tol = EPS_GEOM * max(1, largest vertex coordinate magnitude):
 
     - d = 1: the interval from the lowest to the highest vertex, +- tol;
     - d = 2: the vertices ordered by angle about their centroid, and
@@ -312,15 +324,11 @@ def hull_contains_points(
     barycentric-coordinate route stays available to tests as an
     independent oracle.
     """
-    return _hull_cover((cluster,), np.atleast_2d(np.asarray(queries, dtype=float)), eps)
+    return _hull_cover((cluster,), np.atleast_2d(np.asarray(queries, dtype=float)))
 
 
 def covered_fraction(
-    cfg: ClusterConfiguration,
-    window: Window,
-    n_samples: int,
-    seed: int,
-    eps: float = EPS_GEOM,
+    cfg: ClusterConfiguration, window: Window, n_samples: int, seed: int
 ) -> Tuple[float, float]:
     """Monte-Carlo estimate of the fraction of the (buffer-eroded)
     window covered by the union of the cluster hulls.
@@ -339,7 +347,7 @@ def covered_fraction(
     region = window.erode(window.buffer_margin) if window.buffer_margin > 0 else window
     rng = make_rng(seed)
     samples = np.asarray(region.low) + rng.random((n_samples, region.dimension)) * region.extent()
-    covered = _hull_cover(cfg.clusters, samples, eps)
+    covered = _hull_cover(cfg.clusters, samples)
     fraction = float(covered.mean())
     se = float(np.sqrt(fraction * (1.0 - fraction) / n_samples))
     return fraction, se
@@ -353,7 +361,7 @@ _COVER_BLOCK = 1 << 18
 _ROUNDING = 2.0**-40
 
 
-def _hull_cover(clusters, queries: np.ndarray, eps: float) -> np.ndarray:
+def _hull_cover(clusters, queries: np.ndarray) -> np.ndarray:
     """Per query point, whether it lies in the hull of some cluster, by
     the tests of `hull_contains_points`.
 
@@ -381,7 +389,7 @@ def _hull_cover(clusters, queries: np.ndarray, eps: float) -> np.ndarray:
     size = float(np.abs(q).max(initial=1.0))
     inside = np.zeros(len(q), dtype=bool)
     for (d, n), members in groups.items():
-        lows, highs, test = _GROUP_TESTS[d](members, eps, size)
+        lows, highs, test = _GROUP_TESTS[d](members, size)
         lows, highs = lows.T.copy(), highs.T.copy()
         first = np.searchsorted(axes[0], lows[0], side="left")
         counts = np.maximum(np.searchsorted(axes[0], highs[0], side="right") - first, 0)
@@ -399,10 +407,10 @@ def _hull_cover(clusters, queries: np.ndarray, eps: float) -> np.ndarray:
     return covered
 
 
-def _interval_group(members, eps: float, size: float):
+def _interval_group(members, size: float):
     """d = 1: the box is the test itself."""
     pts = np.array([c.points for c in members], dtype=float)[:, :, 0]
-    tol = eps * np.maximum(1.0, np.abs(pts).max(axis=1))
+    tol = EPS_GEOM * np.maximum(1.0, np.abs(pts).max(axis=1))
     lo, hi = pts.min(axis=1) - tol, pts.max(axis=1) + tol
 
     def test(c, q):
@@ -411,11 +419,11 @@ def _interval_group(members, eps: float, size: float):
     return lo[:, None], hi[:, None], test
 
 
-def _polygon_group(members, eps: float, size: float):
+def _polygon_group(members, size: float):
     """d = 2, polygons of one vertex count."""
     pts = np.array([c.points for c in members], dtype=float)
     scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
-    tol = eps * scale
+    tol = EPS_GEOM * scale
     centroid = pts.mean(axis=1)
     angles = np.arctan2(pts[:, :, 1] - centroid[:, 1:], pts[:, :, 0] - centroid[:, :1])
     ring = np.take_along_axis(pts, np.argsort(angles, axis=1, kind="stable")[..., None], axis=1)
@@ -434,13 +442,13 @@ def _polygon_group(members, eps: float, size: float):
     return pts.min(axis=1) - reach[:, None], pts.max(axis=1) + reach[:, None], test
 
 
-def _simplex_group(members, eps: float, size: float):
+def _simplex_group(members, size: float):
     """d = 3, simplices; a flat one contains nothing and gets an empty box."""
     pts = np.array([c.points for c in members], dtype=float)
     scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
-    tol = eps * scale
+    tol = EPS_GEOM * scale
     centroid = pts.mean(axis=1)
-    _, units, offsets, ok = facet_planes(pts, eps)
+    _, units, offsets, ok = facet_planes(pts)
     with np.errstate(invalid="ignore"):  # flat simplices, boxed empty below
         # a near-flat facet's plane can miss its other vertices by more
         # than rounding: measure at the lowest of them
@@ -520,27 +528,25 @@ def build_report(
     d: int,
     n_samples: int = 2000,
     seed: int = 0,
-    band: float = 4.0,
-    eps: float = EPS_GEOM,
 ) -> TessellationReport:
     """Full report: simplicial check, face-to-face when applicable,
-    Monte-Carlo coverage and the holes verdict at `band` standard errors.
-    `check_face_to_face` runs the simplicial check."""
+    Monte-Carlo coverage and the holes verdict at SIGMA_BAND standard
+    errors. `check_face_to_face` runs the simplicial check."""
     simplicial = all(c.dimension == d for c in cfg.clusters)
     face_to_face = None
     violations: Tuple[Tuple[int, int], ...] = ()
     if simplicial:
         try:
-            partial = check_face_to_face(cfg, eps)
+            partial = check_face_to_face(cfg)
             face_to_face, violations = partial.face_to_face, partial.violations
         except NonSimplicialInput:
             simplicial = False
-    fraction, se = covered_fraction(cfg, window, n_samples, seed, eps)
+    fraction, se = covered_fraction(cfg, window, n_samples, seed)
     return TessellationReport(
         face_to_face=face_to_face,
         violations=violations,
         simplicial=simplicial,
         covered_fraction=fraction,
         coverage_se=se,
-        holes_detected=bool(fraction + band * se < 1.0),
+        holes_detected=bool(fraction + SIGMA_BAND * se < 1.0),
     )

@@ -17,7 +17,6 @@ from clustertess import (
     common_face_check,
     convex_hull_vertices,
     is_discrete_polytope,
-    is_full_simplex,
     lattice_sites_in_window,
     make_rng,
 )
@@ -317,12 +316,6 @@ def test_common_face_3d_tetrahedra():
     overlapping = Cluster(shared + [(0.3, 0.3, 0.5)])
     tilted = Cluster([(0.1, 0.1, 0.2), (0.9, 0.1, 0.2), (0.1, 0.9, 0.2), (0.3, 0.3, 0.9)])
     assert common_face_check(overlapping, tilted) is FaceRelation.IMPROPER
-
-
-def test_is_full_simplex():
-    assert is_full_simplex(Cluster([(0, 0), (1, 0), (0, 1)]))
-    assert not is_full_simplex(Cluster([(0, 0), (1, 0), (2, 0)]))
-    assert not is_full_simplex(Cluster([(0, 0), (1, 0)]))
 
 
 def test_cluster_canonical_identity():

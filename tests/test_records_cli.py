@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from clustertess import (
+    Cluster,
+    ClusterConfiguration,
     PointConfiguration,
     Window,
     delone_property,
@@ -249,6 +251,21 @@ def test_cli_render_hardcore_and_strip(tmp_path):
     assert "lightsteelblue" in strip_svg.read_text()
     # missing radius for hardcore style is a config error
     assert run_cli("render", "--in", str(tess), "--style", "hardcore", "--out", str(svg)) == 1
+
+
+def test_cli_render_circumcircles(tmp_path):
+    window = Window((0, 0), (1, 1))
+    eta = sample_poisson_homogeneous(20.0, window, 5)
+    cfg = extract_clusters(delone_property(0.5), eta)
+    tess = tmp_path / "tess.ndjson"
+    tess.write_text(dump_records([make_record(0, eta, cfg)]))
+    svg = tmp_path / "circles.svg"
+    assert run_cli("render", "--in", str(tess), "--show-circumcircles", "--out", str(svg)) == 0
+    assert len(cfg) > 0 and svg.read_text().count("goldenrod") == len(cfg)
+    # a flat triangle has no circumcircle: a runtime error
+    flat = ClusterConfiguration([Cluster([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)])], [False], window)
+    tess.write_text(dump_records([make_record(0, eta, flat)]))
+    assert run_cli("render", "--in", str(tess), "--show-circumcircles", "--out", str(svg)) == 2
 
 
 def test_cli_entry_point_runs():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from clustertess import (
     Cluster,
     ClusterConfiguration,
     DegenerateSimplex,
-    EPS_GEOM,
     NonSimplicialInput,
     PointConfiguration,
     UnsupportedDimension,
@@ -19,11 +19,11 @@ from clustertess import (
     build_report,
     check_face_to_face,
     check_simplicial,
+    circumballs,
     covered_fraction,
     delone_property,
     extract_clusters,
     hull_contains_points,
-    is_full_simplex,
     lattice_sites_in_window,
     make_rng,
     mix_seed,
@@ -59,6 +59,15 @@ def test_simplicial_checks():
     assert not check_simplicial(cells, 2)  # generic cells have > 3 vertices
     empty = ClusterConfiguration([], [], UNIT)
     assert check_simplicial(empty, 2)
+
+
+def test_check_simplicial_single_cluster():
+    def one(*points):
+        return ClusterConfiguration([Cluster(points)], [False], UNIT)
+
+    assert check_simplicial(one((0, 0), (1, 0), (0, 1)), 2)
+    assert not check_simplicial(one((0, 0), (1, 0), (2, 0)), 2)
+    assert not check_simplicial(one((0, 0), (1, 0)), 2)
 
 
 def test_face_to_face_on_delone_output():
@@ -132,7 +141,8 @@ def simplex_configurations(draw):
     )
     pool = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=7, unique=True))
     simplices = [Cluster(c) for c in itertools.combinations(pool, d + 1)]
-    simplices = [c for c in simplices if is_full_simplex(c)]
+    full = circumballs(np.array([c.points for c in simplices], dtype=float))[2]
+    simplices = [c for c, ok in zip(simplices, full) if ok]
     assume(simplices)
     chosen = draw(st.lists(st.sampled_from(simplices), max_size=10, unique=True))
     return ClusterConfiguration(chosen, [False] * len(chosen), Window((0.0,) * d, (2.0,) * d))
@@ -167,6 +177,54 @@ def test_face_to_face_matches_all_pairs_oracle(cfg):
 
     got = outcome(lambda c: check_face_to_face(c).violations)
     assert got == outcome(face_to_face_violations_all_pairs), [c.points for c in cfg.clusters]
+
+
+def test_face_to_face_singular_facet_subsets_warn_nothing():
+    # some d-subsets of these facet normals are exactly singular, where
+    # numpy's det warns of the log of a zero pivot
+    cfg = pair(
+        [(0.0, 0.0, 0.0), (0.0, -1e-07, 0.0), (0.0, 0.0, 1.0), (0.25, 0.25, 0.0)],
+        [(0.0, 0.0, 0.0), (0.0, 0.0, 0.25), (0.0, 0.25, 2.2250738585072014e-308), (0.25, 0.25, 0.0)],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert check_face_to_face(cfg).violations == face_to_face_violations_all_pairs(cfg) == ((0, 1),)
+
+
+# Two tolerance defects of the face-to-face validator (ROADMAP item 3):
+# the simplicial check and the facet planes use different degeneracy
+# rules, and the scalar test's near-singular solves misplace vertices.
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateSimplex, reason="pivot rule and facet rule disagree")
+def test_face_to_face_handles_what_check_simplicial_accepts():
+    # the first triangle's short edge is 2.2e-9 long
+    cfg = pair(
+        [(2, 0.8167681913491067), (1.500000001, 1.499999999), (1.499999999, 1.5)],
+        [(1.5, 1.5), (2.5, 1.5), (2, 2.5)],
+    )
+    if check_simplicial(cfg, 2):
+        check_face_to_face(cfg)
+    else:
+        with pytest.raises(NonSimplicialInput):
+            check_face_to_face(cfg)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="near-singular solve in common_face_check")
+def test_face_to_face_tetrahedra_sharing_an_edge():
+    # the second tetrahedron lies in y <= 0, the first in y >= 0; they
+    # meet only in their shared edge from (0, 0, 0) to (1, 0, 0)
+    cfg = pair(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [
+            (0, 0, 0),
+            (1, 0, 0),
+            (0.6308005196196657, -0.15048467793734946, -0.18086881967822732),
+            (0.06052782963859327, -0.6672906388265929, -0.8020223232487717),
+        ],
+    )
+    assert check_simplicial(cfg, 3)
+    assert check_face_to_face(cfg).face_to_face
 
 
 def test_box_overlap_pairs_blocks_match_one_sweep(monkeypatch):
@@ -352,7 +410,7 @@ def test_coverage_matches_scalar_loop(cfg, n_samples, seed):
         want = hull_contains_points_scalar(cluster, queries)
         assert np.array_equal(hull_contains_points(cluster, queries), want), cluster.points
         union |= want
-    assert np.array_equal(tessellation._hull_cover(cfg.clusters, queries, EPS_GEOM), union)
+    assert np.array_equal(tessellation._hull_cover(cfg.clusters, queries), union)
     got = covered_fraction(cfg, cfg.source_window, n_samples, seed)
     want = covered_fraction_loop(cfg, cfg.source_window, n_samples, seed)
     assert [x.hex() for x in got] == [x.hex() for x in want]
