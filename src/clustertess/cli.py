@@ -239,9 +239,10 @@ def cmd_chain(args) -> int:
         parts = [str(x) for x in rng_value]
     else:
         parts = rng_value.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ConfigError(f"--range needs two numbers, got {rng_value!r}")
-    x_lo, x_hi = float(parts[0]), float(parts[1])
+    try:
+        x_lo, x_hi = map(float, parts)
+    except ValueError as exc:
+        raise ConfigError(f"--range needs two numbers, got {rng_value!r}: {exc}") from exc
     variant = res.get("variant", str, "deterministic")
     seed = res.seed()
     if variant == "deterministic":

@@ -4,12 +4,13 @@ A cluster is a finite set of distinct points in R^d, standing in for the
 vertex set of a convex polytope. This module supplies the exact-enough
 kernels everything else is built on: circumballs and facet planes of
 simplices, convex hulls and extreme points (Qhull, d <= 3), and the
-pairwise face-to-face test.
+face test of simplex pairs.
 
 There is one relative tolerance, EPS_GEOM. Every predicate reads it
-where its test is made, and it cannot be set per call. Circumballs and
-facet planes each have one batched implementation, `circumballs` and
-`facet_planes`; `circumball` is `circumballs` on one simplex.
+where its test is made, and it cannot be set per call. Circumballs,
+facet planes and the face test each have one batched implementation,
+`circumballs`, `facet_planes` and `face_relations`; `circumball` and
+`common_face_check` run them on one simplex or one pair.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import DegenerateSimplex, UnsupportedDimension
 
 # shared relative tolerance of all geometric predicates
 EPS_GEOM = 1e-9
-# d unit facet normals whose determinant is below this meet in no
-# vertex of `_intersection_vertices`
+# d unit facet normals whose determinant is below this give no vertex
+# in `face_relations`' enumeration of two simplices' common polytope
 SINGULAR_DET = 1e-9
 
 PointLike = Sequence[float]
@@ -105,9 +106,11 @@ class Ball:
 
 
 class FaceRelation(Enum):
-    DISJOINT = "disjoint"
-    COMMON_FACE = "common_face"
-    IMPROPER = "improper"
+    """How two simplices meet; the values are `face_relations`' codes."""
+
+    DISJOINT = 0
+    COMMON_FACE = 1
+    IMPROPER = 2
 
 
 def circumball(simplex: Cluster) -> Ball:
@@ -266,50 +269,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _intersection_vertices(normals: np.ndarray, offsets: np.ndarray, d: int, atol: float) -> list:
-    """Vertices of the polytope {x : normals . x <= offsets} by
-    exhaustive d-subset enumeration. Suitable for the small systems two
-    simplices produce."""
-    vertices = []
-    for combo in itertools.combinations(range(len(normals)), d):
-        a = normals[list(combo)]
-        b = offsets[list(combo)]
-        if d == 1:
-            x = np.array([b[0] / a[0][0]])
-        else:
-            with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
-                singular = abs(np.linalg.det(a)) < SINGULAR_DET
-            if singular:
-                continue
-            x = np.linalg.solve(a, b)
-        if np.all(normals @ x <= offsets + atol):
-            vertices.append(x)
-    # dedupe within tolerance
-    unique: list = []
-    for v in vertices:
-        if not any(np.linalg.norm(v - u) <= 2 * atol for u in unique):
-            unique.append(v)
-    return unique
-
-
-def _match_point_sets(a: list, b: list, atol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    used = [False] * len(b)
-    for p in a:
-        hit = False
-        for j, q in enumerate(b):
-            if not used[j] and np.linalg.norm(np.asarray(p) - np.asarray(q)) <= atol:
-                used[j] = True
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis, as `np.linalg.norm` takes them."""
+    return np.sqrt(_dot(v, v))
 
 
 def common_face_check(x: Cluster, y: Cluster) -> FaceRelation:
-    """How the convex hulls of two discrete simplices meet.
+    """How the convex hulls of two discrete simplices meet, by
+    `face_relations` on the one pair.
 
     DISJOINT     the hulls do not intersect at all;
     COMMON_FACE  the intersection is exactly the hull of the shared
@@ -317,77 +284,140 @@ def common_face_check(x: Cluster, y: Cluster) -> FaceRelation:
                  face, so this is the face-to-face situation);
     IMPROPER     anything else.
     """
-    d = x.dimension
-    if y.dimension != d:
+    if y.dimension != x.dimension:
         raise ValueError("simplices must live in the same dimension")
+    return FaceRelation(int(face_relations(x.as_array()[None], y.as_array()[None])[0]))
+
+
+def face_relations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """How the hulls of the simplex pairs (x[p], y[p]) meet, as
+    `FaceRelation` values; x and y are (P, d+1, d) arrays, d <= 3.
+
+    Each pair is decided with atol = EPS_GEOM * scale, scale being
+    max(1, the pair's largest coordinate magnitude):
+
+    1. Shared vertices: each vertex of x, in order, takes the first
+       unused vertex of y within atol.
+    2. Bounding boxes apart by more than atol: DISJOINT.
+    3. All d+1 vertices shared: COMMON_FACE.
+    4. d shared: each simplex's leftover vertex (its first vertex
+       farther than atol from every shared one, else its last) is
+       measured against the plane of x's facet on the shared vertices.
+       Where both lie farther than atol from it, the pair is
+       COMMON_FACE on opposite sides and IMPROPER on one side; a facet
+       normal not longer than atol * scale puts both on the plane.
+    5. Otherwise the hulls meet in the polytope of both simplices'
+       inward facet halfspaces (`facet_planes`; a degenerate facet
+       raises DegenerateSimplex). Its vertices are the solutions of
+       every d-subset of the 2(d+1) planes whose unit normals have
+       |det| >= SINGULAR_DET that satisfy every halfspace within atol,
+       in enumeration order, each kept unless it lies within 2 atol of
+       one kept before. None: DISJOINT. COMMON_FACE when they match the
+       shared vertices one to one within 10 atol, each taking the first
+       unused shared vertex in order; IMPROPER otherwise.
+
+    Lengths and dot products go through `np.linalg.norm`'s own dot
+    product and the solves through `np.linalg.solve` one matrix at a
+    time, so each pair's verdict equals the scalar rule's in the test
+    oracles. Raises UnsupportedDimension for d > 3 and DegenerateSimplex
+    for simplices of other than d+1 vertices.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    pairs, n, d = x.shape
     if d > 3:
         raise UnsupportedDimension(f"face check implemented for d <= 3, got d = {d}")
-    if len(x) != d + 1 or len(y) != d + 1:
+    if n != d + 1 or y.shape[1] != d + 1:
         raise DegenerateSimplex("face check expects full-dimensional simplices")
-
-    ax, ay = x.as_array(), y.as_array()
-    scale = max(1.0, float(np.abs(ax).max()), float(np.abs(ay).max()))
+    scale = np.maximum(1.0, np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(y).max(axis=(1, 2))))
     atol = EPS_GEOM * scale
+    relation = np.full(pairs, FaceRelation.IMPROPER.value)
 
-    # shared vertices, matched within tolerance
-    shared = []
-    used = set()
-    unmatched = 0
-    for i, p in enumerate(ax):
-        for j, q in enumerate(ay):
-            if j not in used and float(np.linalg.norm(p - q)) <= atol:
-                shared.append(p)
-                used.add(j)
-                break
-        else:
-            unmatched = i
+    shared = _greedy_match(_norm(x[:, :, None] - y[:, None]), atol)  # x's vertices matched in y
+    k = shared.sum(axis=1)
 
-    # quick reject on bounding boxes
-    if np.any(ax.min(axis=0) > ay.max(axis=0) + atol) or np.any(
-        ay.min(axis=0) > ax.max(axis=0) + atol
-    ):
-        return FaceRelation.DISJOINT
+    apart = np.any(x.min(axis=1) > y.max(axis=1) + atol[:, None], axis=1)
+    apart |= np.any(y.min(axis=1) > x.max(axis=1) + atol[:, None], axis=1)
+    relation[apart] = FaceRelation.DISJOINT.value
+    relation[~apart & (k == n)] = FaceRelation.COMMON_FACE.value
+    undecided = ~apart & (k < n)
 
-    if len(shared) == d + 1:
-        return FaceRelation.COMMON_FACE  # identical simplices
+    normals, units_x, offsets_x, ok_x = facet_planes(x)
+    _, units_y, offsets_y, ok_y = facet_planes(y)
+    f = np.nonzero(undecided & (k == d))[0]
+    facet = x[f][shared[f]].reshape(len(f), d, d)
+    normal = normals[f, np.argmin(shared[f], axis=1)]  # the facet omitting x's unshared vertex
+    side_x = _leftover_side(x[f], facet, normal, atol[f], scale[f])
+    side_y = _leftover_side(y[f], facet, normal, atol[f], scale[f])
+    clear = (np.abs(side_x) > atol[f]) & (np.abs(side_y) > atol[f])
+    opposite = np.where(side_x * side_y < 0, FaceRelation.COMMON_FACE.value, FaceRelation.IMPROPER.value)
+    relation[f[clear]] = opposite[clear]
+    undecided[f[clear]] = False
 
-    normals, units, offsets, ok = facet_planes(np.stack([ax, ay]))
-    if len(shared) == d:
-        # shared facet: face-to-face iff the two leftover vertices lie
-        # strictly on opposite sides of the facet hyperplane
-        facet = np.asarray(shared)
-        apex_x = _leftover_vertex(ax, facet, atol)
-        apex_y = _leftover_vertex(ay, facet, atol)
-        if d == 1:
-            side_x = apex_x[0] - facet[0][0]
-            side_y = apex_y[0] - facet[0][0]
-        else:
-            normal = normals[0, unmatched]  # x's facet on the shared vertices
-            nn = float(np.linalg.norm(normal))
-            if nn > atol * scale:
-                normal = normal / nn
-                side_x = float(normal @ (apex_x - facet[0]))
-                side_y = float(normal @ (apex_y - facet[0]))
-            else:
-                side_x = side_y = 0.0
-        if abs(side_x) > atol and abs(side_y) > atol:
-            if side_x * side_y < 0:
-                return FaceRelation.COMMON_FACE
-            return FaceRelation.IMPROPER
-        # fall through to the general test in the degenerate case
-
-    if not ok.all():
+    g = np.nonzero(undecided)[0]
+    if not np.all(ok_x[g] & ok_y[g]):
         raise DegenerateSimplex("degenerate facet while building halfspaces")
-    vertices = _intersection_vertices(units.reshape(-1, d), offsets.ravel(), d, atol)
-    if not vertices:
-        return FaceRelation.DISJOINT
-    if _match_point_sets(vertices, list(np.asarray(shared)), 10 * atol):
-        return FaceRelation.COMMON_FACE
-    return FaceRelation.IMPROPER
+    units = np.concatenate([units_x[g], units_y[g]], axis=1)
+    offsets = np.concatenate([offsets_x[g], offsets_y[g]], axis=1)
+    corner, found = _halfspace_corners(units, offsets, atol[g])
+    kept = np.zeros(found.shape, dtype=bool)
+    for c in range(found.shape[1]):
+        near = _norm(corner[:, c, None] - corner[:, :c]) <= 2 * atol[g, None]
+        kept[:, c] = found[:, c] & ~np.any(kept[:, :c] & near, axis=1)
+
+    # the first d kept corners against the shared vertices, both in order
+    corner = np.take_along_axis(corner, np.argsort(~kept, axis=1, kind="stable")[:, :d, None], axis=1)
+    vertex = np.take_along_axis(x[g], np.argsort(~shared[g], axis=1, kind="stable")[:, :d, None], axis=1)
+    count, k, rank = kept.sum(axis=1), k[g, None], np.arange(d)  # k <= d here
+    dist = np.where(rank < k[:, None], _norm(corner[:, :, None] - vertex[:, None]), np.inf)
+    match = (count == k[:, 0]) & np.all(_greedy_match(dist, 10 * atol[g]) | (rank >= k), axis=1)
+    relation[g] = np.where(match, FaceRelation.COMMON_FACE.value, FaceRelation.IMPROPER.value)
+    relation[g[count == 0]] = FaceRelation.DISJOINT.value
+    return relation
 
 
-def _leftover_vertex(verts: np.ndarray, facet: np.ndarray, atol: float) -> np.ndarray:
-    for v in verts:
-        if all(float(np.linalg.norm(v - f)) > atol for f in facet):
-            return v
-    return verts[-1]
+def _greedy_match(dist: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Per pair, each row a of dist (P, A, B) in order takes the first
+    column b not taken before with dist[:, a, b] <= tol; which rows
+    found one, (P, A)."""
+    matched = np.zeros(dist.shape[:2], dtype=bool)
+    taken = np.zeros((dist.shape[0], dist.shape[2]), dtype=bool)
+    for a in range(dist.shape[1]):
+        for b in range(dist.shape[2]):
+            hit = ~matched[:, a] & ~taken[:, b] & (dist[:, a, b] <= tol)
+            matched[:, a] |= hit
+            taken[:, b] |= hit
+    return matched
+
+
+def _leftover_side(verts, facet, normal, atol, scale) -> np.ndarray:
+    """Per simplex, how far its leftover vertex (the first farther than
+    atol from every facet vertex, else the last) lies along the facet's
+    unit normal from the facet's first vertex; 0 where the normal is not
+    longer than atol * scale (d > 1)."""
+    far = np.all(_norm(verts[:, :, None] - facet[:, None]) > atol[:, None, None], axis=2)
+    first = np.where(far.any(axis=1), np.argmax(far, axis=1), verts.shape[1] - 1)
+    apex = verts[np.arange(len(verts)), first]
+    if verts.shape[2] == 1:
+        return apex[:, 0] - facet[:, 0, 0]
+    length = _norm(normal)
+    sound = length > atol * scale
+    unit = normal / np.where(sound, length, 1.0)[:, None]
+    return np.where(sound, _dot(unit, apex - facet[:, 0]), 0.0)
+
+
+def _halfspace_corners(units: np.ndarray, offsets: np.ndarray, atol: np.ndarray):
+    """For P polytopes {q : units . q <= offsets}, (P, h, d) and (P, h):
+    the solution of each d-subset of the h planes, in
+    `itertools.combinations` order, (P, C, d), and whether it counts
+    as a vertex: its unit normals have |det| >= SINGULAR_DET and it
+    satisfies every halfspace within atol (P,). In d = 1 the normals
+    are +-1, so every solve is exact, as the scalar division is."""
+    d = units.shape[2]
+    subsets = np.array(list(itertools.combinations(range(units.shape[1]), d)))
+    a, b = units[:, subsets], offsets[:, subsets]
+    with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
+        found = np.abs(np.linalg.det(a)) >= SINGULAR_DET
+    corner = np.zeros(b.shape)
+    corner[found] = np.linalg.solve(a[found], b[found][..., None])[..., 0]
+    inside = (units[:, None] @ corner[..., None])[..., 0] <= (offsets + atol[:, None])[:, None]
+    return corner, found & np.all(inside, axis=2)

@@ -167,7 +167,8 @@ _REPORT_FIELDS = {
 def _check_shape(record) -> None:
     """Raise ValueError naming the first field of a parsed record whose
     JSON content `record_to_objects` cannot take: the points, the
-    multiplicities, the window, each cluster and the report included."""
+    multiplicities, the window, each cluster (its points in the window's
+    dimension) and the report included."""
     if type(record) is not dict:
         raise ValueError(f"a record must be a JSON object, got {json.dumps(record)[:40]}")
     for field, valid in _RECORD_FIELDS.items():
@@ -184,6 +185,8 @@ def _check_shape(record) -> None:
             value = entry.get(key)
             if not valid(value):
                 raise ValueError(f"record field 'clusters[{k}].{key}' cannot be {json.dumps(value)[:40]}")
+        if entry["points"] and len(entry["points"][0]) != len(record["window"]["low"]):
+            raise ValueError(f"record field 'clusters[{k}].points' must have the window's dimension")
     report = record.get("report") or {}
     for key, valid in _REPORT_FIELDS.items():
         if key in report and not valid(report[key]):

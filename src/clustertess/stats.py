@@ -24,7 +24,7 @@ from scipy.special import gammaincinv
 from .clusterprops import ClusterProperty, cluster_count, extract_clusters
 from .cutproject import Chain, decompose_length
 from .pointproc import DiscreteIntensity, ProcessSampler, Window, sample_poisson_discrete, sample_poisson_homogeneous
-from .randomness import mix_seed
+from .randomness import make_rng, mix_seed, poisson_count
 
 SIGMA_BAND = 4.0
 CHI2_SIGNIFICANCE = 1e-3
@@ -108,14 +108,19 @@ def poisson_count_test(
     """Chi-square GOF of replicated total counts against the Poisson law.
 
     `sampler` defaults to the homogeneous Poisson sampler with intensity
-    lam; passing a different process shows the test rejecting it.
+    lam; passing a different process shows the test rejecting it. The
+    default draws each replication's count alone: the count is the
+    sampler's first draw, so the counts are the sampler's bit for bit.
     """
     if n_reps < 1000:
         raise ValueError("need at least 1000 replications for the count GOF test")
-    if sampler is None:
-        sampler = lambda w, s: sample_poisson_homogeneous(lam, w, s)
-    counts = [sampler(window, mix_seed(seed, i)).total_count for i in range(n_reps)]
     mean = lam * window.volume()
+    if sampler is not None:
+        counts = [sampler(window, mix_seed(seed, i)).total_count for i in range(n_reps)]
+    elif lam > 0.0:
+        counts = [poisson_count(make_rng(mix_seed(seed, i)), mean) for i in range(n_reps)]
+    else:
+        raise ValueError(f"intensity must be positive, got {lam}")
     stat, threshold, dof = poisson_chi_square(counts, mean)
     return TestReport(
         name=f"poisson_count(lam={lam})",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import NonSimplicialInput, UnsupportedDimension
 from .geometry import (
@@ -21,7 +22,8 @@ from .geometry import (
     Cluster,
     FaceRelation,
     circumballs,
-    common_face_check,
+    common_face_check,  # noqa: F401 -- benchmarks/spans.py counts calls through this binding
+    face_relations,
     facet_planes,
 )
 from .clusterprops import ClusterConfiguration
@@ -49,10 +51,17 @@ class TessellationReport:
 def check_simplicial(cfg: ClusterConfiguration, d: int) -> bool:
     """True iff every cluster is d+1 affinely independent points in R^d,
     by `circumball`'s degeneracy rule (one batched `circumballs` call)."""
+    return _circumscribed(cfg, d) is not None
+
+
+def _circumscribed(cfg: ClusterConfiguration, d: int):
+    """The clusters as an (m, d+1, d) array with their circumcentres and
+    circumradii, or None unless `check_simplicial` holds."""
     if not all(c.dimension == d and len(c) == d + 1 for c in cfg.clusters):
-        return False
+        return None
     simplices = np.array([c.points for c in cfg.clusters], dtype=float).reshape(-1, d + 1, d)
-    return bool(circumballs(simplices)[2].all())
+    centers, radii, ok = circumballs(simplices)
+    return (simplices, centers, radii) if ok.all() else None
 
 
 def check_face_to_face(cfg: ClusterConfiguration) -> TessellationReport:
@@ -60,58 +69,50 @@ def check_face_to_face(cfg: ClusterConfiguration) -> TessellationReport:
 
     Candidate pairs are those whose bounding boxes overlap within
     atol = EPS_GEOM * scale (scale: the largest coordinate magnitude, at
-    least 1), found by a sort-and-sweep on the lowest x. All candidate
-    pairs are then decided at once, in numpy, with the shared-vertex
-    rule and per-pair tolerance of `common_face_check`:
+    least 1), found by a sort-and-sweep on the lowest x.
 
-    - d+1 shared vertices: a common face;
-    - d shared vertices: the opposite-sides test on the two leftover
-      vertices, decided where both sides are clear of atol;
-    - fewer: a separating-axis test (Ericson, Real-Time Collision
-      Detection, 2004, ch. 5) over the facet normals of both simplices
-      and, in 3D, the cross products of their edges. The pair meets
-      properly if, on some axis, one simplex lies on the closed side of
-      a hyperplane through the shared vertices and the other's unshared
-      vertices lie beyond it by more than a margin; it is improper if
-      every axis shows an overlap of more than the margin, for then the
-      interiors meet. The margin is 4 atol (A_x + A_y), A being a
-      simplex's aspect ratio (longest edge over inradius, 2 for an
-      interval, about 3.5 for an equilateral triangle): four times how
-      far the atol slack of the two simplices reaches.
+    Empty circumballs, the property Delone clusters are built from,
+    settle most pairs (Edelsbrunner and Seidel 1986; Aurenhammer 1991):
+    lift each point p to (p, |p|^2); if every unshared vertex of each
+    simplex lies strictly outside the other's circumsphere, a common
+    point has its lifted weights on the shared vertices of both, so the
+    two meet exactly in their shared face. A simplex is certified when
+    its facet planes are sound (`facet_planes`) and one kd-tree query
+    over the distinct vertices finds none but its own within r + m of
+    its circumcentre: r its circumradius and m = 4 atol D / max(r_in,
+    atol), D its longest edge and r_in its inradius, a bound on how far
+    the float circumcentre and the tolerant face test stray.
 
-    Every pair these tests leave undecided goes through the scalar
-    `common_face_check`, which has the last word: pairs inside a
-    tolerance band (vertices within 2 atol but not identical, a
-    leftover vertex within 2 atol of the shared facet, touching or
-    nearly touching simplices), and pairs with d facet planes whose
-    solve in the scalar test is ill-conditioned (unit normals with
-    |det| from SINGULAR_DET / 2 up to 1e-5). The returned report
-    carries the improper pairs as (i, j) indices into cfg.clusters,
-    i < j, in ascending order.
+    A pair of certified simplices meets properly, unless it shares fewer
+    than d vertices and d of the two simplices' unit facet normals have
+    |det| from SINGULAR_DET / 2 up to 1e-5. The face test solves such a
+    subset and may land its vertex beyond tolerance, reading the pair as
+    improper; that verdict is kept until the test is exact. Those pairs
+    and every pair with an uncertified simplex are decided by
+    `face_relations`, the batched face test, in blocks of _BLOCK pairs.
+
+    The returned report carries the improper pairs as (i, j) indices
+    into cfg.clusters, i < j, in ascending order.
     """
     clusters = cfg.clusters
     if not clusters:
         return TessellationReport(face_to_face=True, violations=(), simplicial=True)
     d = clusters[0].dimension
-    if not check_simplicial(cfg, d):
+    circumscribed = _circumscribed(cfg, d)
+    if circumscribed is None:
         raise NonSimplicialInput(
             "face-to-face checking needs discrete simplices; run check_simplicial first"
         )
-    verts = np.array([c.points for c in clusters], dtype=float)
-    lows, highs = verts.min(axis=1), verts.max(axis=1)
+    verts = circumscribed[0]
     atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
-    i, j = _box_overlap_pairs(lows, highs, atol)
-    verdict = np.full(len(i), _UNDECIDED)
-    if d <= 3:  # above, the scalar test raises UnsupportedDimension
-        normals = facet_planes(verts)[0]
-        shape = _simplex_shape(verts, normals)
-        for s in range(0, len(i), _BLOCK):
-            a, b = i[s : s + _BLOCK], j[s : s + _BLOCK]
-            verdict[s : s + _BLOCK] = _pair_verdicts(verts, normals, shape, a, b)
-    for k in np.nonzero(verdict == _UNDECIDED)[0]:
-        relation = common_face_check(clusters[i[k]], clusters[j[k]])
-        verdict[k] = _IMPROPER if relation is FaceRelation.IMPROPER else _PROPER
-    improper = verdict == _IMPROPER
+    i, j = _box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), atol)
+    # above d = 3, the face test raises UnsupportedDimension on any pair
+    certified = _certified_pairs(*circumscribed, atol, i, j) if d <= 3 else np.zeros(len(i), dtype=bool)
+    todo = np.nonzero(~certified)[0]
+    improper = np.zeros(len(i), dtype=bool)
+    for s in range(0, len(todo), _BLOCK):
+        k = todo[s : s + _BLOCK]
+        improper[k] = face_relations(verts[i[k]], verts[j[k]]) == FaceRelation.IMPROPER.value
     violations = tuple(zip(i[improper].tolist(), j[improper].tolist()))
     return TessellationReport(
         face_to_face=not violations,
@@ -120,21 +121,14 @@ def check_face_to_face(cfg: ClusterConfiguration) -> TessellationReport:
     )
 
 
-# pair verdicts: meets properly or not at all, improper, left to the scalar
-_PROPER, _IMPROPER, _UNDECIDED = 0, 1, -1
 # pairs decided per batch, which bounds the working memory
 _BLOCK = 4096
 # swept box pairs tested per block, which bounds the sweep's memory
 _SWEEP_BLOCK = 1 << 20
-# the scalar test solves each d-subset of the two simplices' facet
-# planes whose unit normals have |det| >= SINGULAR_DET; below this
-# bound such a solve can land up to 1e-7 off, beyond its tolerance, so
-# pairs with one are left to the scalar test
+# the face test solves each d-subset of two simplices' facet planes
+# whose unit normals have |det| >= SINGULAR_DET; below this bound such
+# a solve can land up to 1e-7 off, beyond its tolerance
 _WELL_CONDITIONED_DET = 1e-5
-# an axis taken as a cross product a x b is exact enough to certify an
-# overlap when |a x b| >= this * |a| |b|: its direction then errs by
-# about 1e-10 rad, a projection by far less than the margin
-_MIN_AXIS_SINE = 1e-6
 # the vertices of each facet of a tetrahedron; facet k omits vertex k,
 # as in `facet_planes`
 _TETRAHEDRON_FACETS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
@@ -162,146 +156,33 @@ def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float):
     return i[ranked], j[ranked]
 
 
-def _simplex_shape(verts: np.ndarray, normals: np.ndarray):
-    """Per simplex of a batch, with its facet normals (`facet_planes`):
-    the inradius, as d! times the volume over the sum of the normals'
-    lengths, the longest edge, and which facet normals are sound
-    (`_facet_sound`)."""
+def _certified_pairs(verts, centers, radii, atol: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per pair (verts[i[p]], verts[j[p]]) of simplices, d <= 3, with
+    their circumballs: whether the certificate of `check_face_to_face`
+    proves that it meets properly."""
+    m, n, d = verts.shape
+    normals, units, _, sound = facet_planes(verts)
     with np.errstate(divide="ignore", invalid="ignore"):  # subnormal edges
         volume = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))  # d! times the volume
         inradius = volume / np.linalg.norm(normals, axis=-1).sum(axis=1)
-    longest = np.linalg.norm(_edges(verts), axis=-1).max(axis=1)
-    return inradius, longest, _facet_sound(verts, normals)
-
-
-def _pair_verdicts(verts: np.ndarray, normals: np.ndarray, shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_PROPER, _IMPROPER or _UNDECIDED for each pair of simplices
-    (verts[a[p]], verts[b[p]]), d <= 3, with the rules of
-    `check_face_to_face`; normals are the simplices' facet normals
-    (`facet_planes`) and shape their `_simplex_shape`."""
-    x, y = verts[a], verts[b]
-    n_pairs, n, d = x.shape
-    verdict = np.full(n_pairs, _UNDECIDED)
-    scale = np.maximum(1.0, np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(y).max(axis=(1, 2))))
-    atol = EPS_GEOM * scale
-
-    # shared vertices: the scalar matches vertices within atol; decide
-    # only where matched vertices are identical and all others at least
-    # 2 atol apart, since edges at two matched vertices even slightly
-    # apart cross near them, which the scalar may count as a vertex
-    same = np.all(x[:, :, None] == y[:, None], axis=-1)
-    dist = np.linalg.norm(x[:, :, None] - y[:, None], axis=-1)
-    clear = np.all(same | (dist >= 2 * atol[:, None, None]), axis=(1, 2))
-    shared_x, shared_y = same.any(axis=2), same.any(axis=1)
-    k = shared_x.sum(axis=1)
-
-    # The atol slack of a simplex's facets is the simplex scaled about
-    # its incentre by 1 + atol / r, so it reaches at most atol * D / r
-    # beyond it (D the longest edge, r the inradius, taken as at least
-    # atol). The margin, four times what both slacks reach together
-    # (16 atol for two intervals), keeps the scalar's verdict the same.
-    inradius, longest, facet_sound = shape
-    normals, sound = [normals[a], normals[b]], [facet_sound[a], facet_sound[b]]
-    reach = np.zeros(n_pairs)
-    for simplex in (a, b):
-        reach += longest[simplex] / np.maximum(inradius[simplex], atol)
-    margin = 4.0 * atol * reach
-
-    verdict[clear & (k == n)] = _PROPER
-    facet = np.nonzero(clear & (k == d))[0]
-    # facet f of a simplex omits vertex f; here the unshared one
-    normal = normals[0][facet, np.argmin(shared_x[facet], axis=1)]
-    verdict[facet] = _opposite_sides(
-        x[facet], y[facet], shared_x[facet], shared_y[facet], normal, atol[facet], scale[facet]
-    )
-    rest = np.nonzero(clear & (k < d))[0]
-    axes = _unit(np.concatenate([normals[0][rest], normals[1][rest]], axis=1))
+    longest = np.linalg.norm(verts[:, :, None] - verts[:, None], axis=-1).max(axis=(1, 2))
+    reach = radii + 4.0 * atol * longest / np.maximum(inradius, atol)
+    distinct, index = np.unique(verts.reshape(-1, d), axis=0, return_inverse=True)
+    index = index.reshape(m, n)
+    found = np.zeros(m, dtype=np.intp)
+    found[sound] = cKDTree(distinct).query_ball_point(centers[sound], reach[sound], return_length=True)
+    certified = found == n  # its own vertices only
+    proper = certified[i] & certified[j]
+    shared = (index[i][:, :, None] == index[j][:, None]).sum(axis=(1, 2))
+    loose = np.nonzero(proper & (shared < d))[0]
     subsets = np.array(list(itertools.combinations(range(2 * n), d)))
-    with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
-        det = np.abs(np.linalg.det(axes[:, subsets]))
-    conditioned = np.all((det < SINGULAR_DET / 2) | (det >= _WELL_CONDITIONED_DET), axis=1)
-    rest, axes = rest[conditioned], axes[conditioned]
-    axes_sound = np.concatenate([sound[0][rest], sound[1][rest]], axis=1)
-    if d == 3:
-        u, v = _edges(x[rest])[:, :, None], _edges(y[rest])[:, None]
-        edge_axes = np.cross(u, v)
-        axes = np.concatenate([axes, edge_axes.reshape(len(rest), 36, 3)], axis=1)
-        axes_sound = np.concatenate([axes_sound, _sound(edge_axes, u, v).reshape(len(rest), 36)], axis=1)
-    verdict[rest] = _separating_axes(
-        x[rest], y[rest], shared_x[rest], shared_y[rest], axes, axes_sound, atol[rest], margin[rest]
-    )
-    return verdict
-
-
-def _opposite_sides(x, y, shared_x, shared_y, normal, atol, scale) -> np.ndarray:
-    """The scalar's shared-facet test: proper iff the two leftover
-    vertices lie strictly on opposite sides of the shared facet, whose
-    normal (as the scalar builds it) is given."""
-    n_pairs, n, d = x.shape
-    origin = x[shared_x].reshape(n_pairs, d, d)[:, 0]
-    length = np.linalg.norm(normal, axis=1)
-    sound = (d == 1) | (length >= 2 * atol * scale)
-    normal = normal / np.where(length > 0.0, length, 1.0)[:, None]
-    side_x = np.einsum("pd,pd->p", normal, x[~shared_x] - origin)
-    side_y = np.einsum("pd,pd->p", normal, y[~shared_y] - origin)
-    sound &= (np.abs(side_x) >= 2 * atol) & (np.abs(side_y) >= 2 * atol)
-    return np.where(sound, np.where(side_x * side_y < 0, _PROPER, _IMPROPER), _UNDECIDED)
-
-
-def _separating_axes(x, y, shared_x, shared_y, axes, sound, atol, margin) -> np.ndarray:
-    """Separating-axis verdicts for pairs sharing fewer than d vertices
-    (see `check_face_to_face`); `sound` marks the axes exact enough to
-    certify an overlap."""
-    axes = _unit(axes)
-    px = np.einsum("pad,pvd->pav", axes, x)
-    py = np.einsum("pad,pvd->pav", axes, y)
-    tol, margin = atol[:, None], margin[:, None]
-    overlap = np.minimum(px.max(axis=2), py.max(axis=2)) - np.maximum(px.min(axis=2), py.min(axis=2))
-    improper = np.all(sound & (overlap > margin), axis=1)
-    proper = np.zeros(len(x), dtype=bool)
-    for pa, pb, sa, sb in ((px, py, shared_x, shared_y), (py, px, shared_y, shared_x)):
-        for sign in (1.0, -1.0):
-            proper |= _closed_side(sign * pa, sign * pb, sa, sb, tol, margin)
-    return np.where(proper, _PROPER, np.where(improper, _IMPROPER, _UNDECIDED))
-
-
-def _closed_side(pa, pb, shared_a, shared_b, tol, margin) -> np.ndarray:
-    """Per pair, whether on some axis simplex a lies below the level of
-    its top vertex, every shared vertex lies at that level, and every
-    unshared vertex of b lies above it by more than the margin."""
-    top = pa.max(axis=2)
-    level = top - tol
-    on_plane = np.all(np.where(shared_a[:, None], pa, np.inf) >= level[..., None], axis=2)
-    on_plane &= np.all(np.where(shared_b[:, None], pb, np.inf) >= level[..., None], axis=2)
-    beyond = np.all(np.where(shared_b[:, None], np.inf, pb) > (top + margin)[..., None], axis=2)
-    return np.any(on_plane & beyond, axis=1)
-
-
-def _facet_sound(s: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Whether each facet normal of a batch of simplices (`facet_planes`)
-    is exact enough to certify an overlap; in d < 3 all are."""
-    if s.shape[2] < 3:
-        return np.ones(normals.shape[:2], dtype=bool)
-    facets = s[:, _TETRAHEDRON_FACETS]
-    return _sound(normals, facets[:, :, 1] - facets[:, :, 0], facets[:, :, 2] - facets[:, :, 0])
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    length = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.where(length > 0.0, length, 1.0)
-
-
-def _edges(s: np.ndarray) -> np.ndarray:
-    """Edge vectors of a batch of simplices, (batch, C(n, 2), d)."""
-    e = np.array(list(itertools.combinations(range(s.shape[1]), 2)))
-    return s[:, e[:, 1]] - s[:, e[:, 0]]
-
-
-def _sound(axes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Whether each axis u x v is exact enough to certify an overlap
-    (see _MIN_AXIS_SINE)."""
-    bound = _MIN_AXIS_SINE * np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
-    return np.linalg.norm(axes, axis=-1) >= bound
+    for s in range(0, len(loose), _BLOCK):
+        p = loose[s : s + _BLOCK]
+        axes = np.concatenate([units[i[p]], units[j[p]]], axis=1)
+        with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
+            det = np.abs(np.linalg.det(axes[:, subsets]))
+        proper[p] = np.all((det < SINGULAR_DET / 2) | (det >= _WELL_CONDITIONED_DET), axis=1)
+    return proper
 
 
 def hull_contains_points(cluster: Cluster, queries: np.ndarray) -> np.ndarray:

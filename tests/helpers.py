@@ -5,16 +5,18 @@ exhaustive enumeration instead of Qhull's Delaunay triangulation,
 closed-form determinant circumcenters instead of the elimination
 solver, linear feasibility instead of Qhull, barycentric signs instead
 of halfspace tests, the scalar face test on every pair instead of the
-batched face-to-face validator, the full (n, m) double loop instead of
-the banded length decomposition, and the per-cluster coverage loop
-instead of the box-filtered coverage pass.
+empty-circumball certificate and the batched face-to-face kernel, the
+full (n, m) double loop instead of the banded length decomposition,
+and the per-cluster coverage loop instead of the box-filtered coverage
+pass.
 
 The scalar predicates the batched production code replaced live here
 as oracles too: the ball trichotomy and the hard-core isolation test
 scan every point; `circumball_scalar`, the scalar elimination, checks
 the batched `circumballs` bit for bit; `facet_halfspaces_scalar`, one
 facet plane at a time, checks the batched `facet_planes` bit for bit;
-and the per-cluster hull test and coverage loop check the batched
+`common_face_check_scalar` checks the batched `face_relations` pair by
+pair; and the per-cluster hull test and coverage loop check the batched
 coverage kernel bit for bit.
 """
 
@@ -34,10 +36,9 @@ from clustertess import (
     DegenerateSimplex,
     EPS_GEOM,
     UnsupportedDimension,
-    common_face_check,
     make_rng,
 )
-from clustertess.geometry import FaceRelation
+from clustertess.geometry import SINGULAR_DET, FaceRelation, facet_planes
 
 
 class BallSide(Enum):
@@ -195,13 +196,139 @@ def exhaustive_delone(eta, radius_cap, open_ball_mode=False):
 
 
 def face_to_face_violations_all_pairs(cfg):
-    """Improper pairs (i, j), i < j, ascending: `common_face_check` on
-    every pair of clusters, with no box pruning and no batched test."""
+    """Improper pairs (i, j), i < j, ascending: `common_face_check_scalar`
+    on every pair of clusters, with no box pruning, no certificate and no
+    batched test."""
     return tuple(
         (i, j)
         for i, j in itertools.combinations(range(len(cfg.clusters)), 2)
-        if common_face_check(cfg.clusters[i], cfg.clusters[j]) is FaceRelation.IMPROPER
+        if common_face_check_scalar(cfg.clusters[i], cfg.clusters[j]) is FaceRelation.IMPROPER
     )
+
+
+def common_face_check_scalar(x, y):
+    """How the convex hulls of two discrete simplices meet, one pair at
+    a time: the rule the batched `face_relations` applies.
+
+    DISJOINT     the hulls do not intersect at all;
+    COMMON_FACE  the intersection is exactly the hull of the shared
+                 vertices;
+    IMPROPER     anything else.
+    """
+    d = x.dimension
+    if y.dimension != d:
+        raise ValueError("simplices must live in the same dimension")
+    if d > 3:
+        raise UnsupportedDimension(f"face check implemented for d <= 3, got d = {d}")
+    if len(x) != d + 1 or len(y) != d + 1:
+        raise DegenerateSimplex("face check expects full-dimensional simplices")
+
+    ax, ay = x.as_array(), y.as_array()
+    scale = max(1.0, float(np.abs(ax).max()), float(np.abs(ay).max()))
+    atol = EPS_GEOM * scale
+
+    # shared vertices, matched within tolerance
+    shared = []
+    used = set()
+    unmatched = 0
+    for i, p in enumerate(ax):
+        for j, q in enumerate(ay):
+            if j not in used and float(np.linalg.norm(p - q)) <= atol:
+                shared.append(p)
+                used.add(j)
+                break
+        else:
+            unmatched = i
+
+    # quick reject on bounding boxes
+    if np.any(ax.min(axis=0) > ay.max(axis=0) + atol) or np.any(
+        ay.min(axis=0) > ax.max(axis=0) + atol
+    ):
+        return FaceRelation.DISJOINT
+
+    if len(shared) == d + 1:
+        return FaceRelation.COMMON_FACE  # identical simplices
+
+    normals, units, offsets, ok = facet_planes(np.stack([ax, ay]))
+    if len(shared) == d:
+        # shared facet: face-to-face iff the two leftover vertices lie
+        # strictly on opposite sides of the facet hyperplane
+        facet = np.asarray(shared)
+        apex_x = _leftover_vertex(ax, facet, atol)
+        apex_y = _leftover_vertex(ay, facet, atol)
+        if d == 1:
+            side_x = apex_x[0] - facet[0][0]
+            side_y = apex_y[0] - facet[0][0]
+        else:
+            normal = normals[0, unmatched]  # x's facet on the shared vertices
+            nn = float(np.linalg.norm(normal))
+            if nn > atol * scale:
+                normal = normal / nn
+                side_x = float(normal @ (apex_x - facet[0]))
+                side_y = float(normal @ (apex_y - facet[0]))
+            else:
+                side_x = side_y = 0.0
+        if abs(side_x) > atol and abs(side_y) > atol:
+            if side_x * side_y < 0:
+                return FaceRelation.COMMON_FACE
+            return FaceRelation.IMPROPER
+        # fall through to the general test in the degenerate case
+
+    if not ok.all():
+        raise DegenerateSimplex("degenerate facet while building halfspaces")
+    vertices = _intersection_vertices(units.reshape(-1, d), offsets.ravel(), d, atol)
+    if not vertices:
+        return FaceRelation.DISJOINT
+    if _match_point_sets(vertices, list(np.asarray(shared)), 10 * atol):
+        return FaceRelation.COMMON_FACE
+    return FaceRelation.IMPROPER
+
+
+def _intersection_vertices(normals, offsets, d, atol):
+    """Vertices of the polytope {x : normals . x <= offsets} by
+    exhaustive d-subset enumeration, deduplicated within 2 atol."""
+    vertices = []
+    for combo in itertools.combinations(range(len(normals)), d):
+        a = normals[list(combo)]
+        b = offsets[list(combo)]
+        if d == 1:
+            x = np.array([b[0] / a[0][0]])
+        else:
+            with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
+                singular = abs(np.linalg.det(a)) < SINGULAR_DET
+            if singular:
+                continue
+            x = np.linalg.solve(a, b)
+        if np.all(normals @ x <= offsets + atol):
+            vertices.append(x)
+    unique = []
+    for v in vertices:
+        if not any(np.linalg.norm(v - u) <= 2 * atol for u in unique):
+            unique.append(v)
+    return unique
+
+
+def _match_point_sets(a, b, atol):
+    if len(a) != len(b):
+        return False
+    used = [False] * len(b)
+    for p in a:
+        hit = False
+        for j, q in enumerate(b):
+            if not used[j] and np.linalg.norm(np.asarray(p) - np.asarray(q)) <= atol:
+                used[j] = True
+                hit = True
+                break
+        if not hit:
+            return False
+    return True
+
+
+def _leftover_vertex(verts, facet, atol):
+    for v in verts:
+        if all(float(np.linalg.norm(v - f)) > atol for f in facet):
+            return v
+    return verts[-1]
 
 
 def hull_contains_points_scalar(cluster, queries, eps=EPS_GEOM):

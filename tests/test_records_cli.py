@@ -139,6 +139,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("sample", "--process", "poisson", "--window", "0,0,1,1") == 1  # missing lambda
     assert run_cli("tessellate", "--in", str(tmp_path / "missing.ndjson"), "--property", "delone", "--radius-cap", "1") == 1
     assert run_cli("sample", "--process", "poisson", "--lambda", "5", "--window", "bad") == 1
+    assert run_cli("chain", "--variant", "thinned", "--c", "0.5", "--range", "0", "x") == 1
     # runtime error: corrupt records
     bad = tmp_path / "bad.ndjson"
     bad.write_text('{"replication": 0}\n')
@@ -157,6 +158,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         json.dumps({**record, "window": {**record["window"], "buffer_margin": [1]}}): "window.buffer_margin",
         json.dumps({**record, "window": {**record["window"], "low": [math.nan, 0.0]}}): "low < high",
         json.dumps({**record, "clusters": [{**triangle, "points": 5}]}): "clusters[0].points",
+        json.dumps({**record, "clusters": [{**triangle, "points": [[0.1], [0.5], [0.9]]}]}): "clusters[0].points",
         json.dumps({**record, "clusters": [{**triangle, "boundary_uncertain": [1]}]}): "clusters[0].boundary_uncertain",
         json.dumps({**record, "report": {"violations": 5}}): "report.violations",
         json.dumps({**record, "report": {"covered_fraction": "x"}}): "report.covered_fraction",

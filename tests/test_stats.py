@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from clustertess import (
     make_rng,
     occupation_test,
     poisson_count_test,
+    sample_poisson_homogeneous,
     thinned_chain,
     tile_length_histogram,
 )
@@ -54,6 +56,16 @@ def test_poisson_count_test_tiny_mean_single_bin():
 def test_poisson_count_test_validates_reps():
     with pytest.raises(ValueError):
         poisson_count_test(5.0, UNIT, 100, seed=1)
+    with pytest.raises(ValueError):
+        poisson_count_test(0.0, UNIT, 1000, seed=1)
+
+
+def test_poisson_count_test_counts_equal_the_sampler():
+    # the default draws the counts alone; they are the sampler's first draws
+    window = Window((0.0, 0.0), (2.0, 1.5))
+    for lam, seed in ((5.0, 7), (0.3, 11)):
+        want = poisson_count_test(lam, window, 2000, seed, sampler=lambda w, s: sample_poisson_homogeneous(lam, w, s))
+        assert dataclasses.asdict(poisson_count_test(lam, window, 2000, seed)) == dataclasses.asdict(want)
 
 
 def test_occupation_targets():

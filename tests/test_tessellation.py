@@ -32,9 +32,11 @@ from clustertess import (
     voronoi_property,
 )
 from clustertess import tessellation
+from clustertess.geometry import face_relations
 
 from helpers import (
     barycentric_inside,
+    common_face_check_scalar,
     covered_fraction_loop,
     face_to_face_violations_all_pairs,
     hull_contains_points_scalar,
@@ -153,19 +155,22 @@ def pair(a, b):
     return ClusterConfiguration([Cluster(a), Cluster(b)], [False, False], Window((-3.0,) * d, (3.0,) * d))
 
 
-@settings(max_examples=300, deadline=None)
-@given(cfg=simplex_configurations())
-# disjoint tetrahedra that only the cross product of two edges separates
-@example(
-    cfg=pair(
-        [(-0.5, 0.5, 0), (0.5, -0.5, 0), (-0.5, -0.5, -2), (-1.5, -1.5, 0)],
-        [(0.1, -0.4, 0.6), (0.1, 0.6, -0.4), (0.1, 1.6, 1.6), (2.1, 0.6, 0.6)],
-    )
+# disjoint tetrahedra that no facet plane separates, only an edge-cross axis
+CROSS_AXIS_PAIR = pair(
+    [(-0.5, 0.5, 0), (0.5, -0.5, 0), (-0.5, -0.5, -2), (-1.5, -1.5, 0)],
+    [(0.1, -0.4, 0.6), (0.1, 0.6, -0.4), (0.1, 1.6, 1.6), (2.1, 0.6, 0.6)],
 )
 # a vertex 1.4e-9 off the other triangle's edge: improper within atol
-@example(cfg=pair([(0, 0), (1, 0), (0, 1)], [(0.5 + 1e-9, 0.5 + 1e-9), (1, 1), (1, 0.6)]))
+NEAR_EDGE_PAIR = pair([(0, 0), (1, 0), (0, 1)], [(0.5 + 1e-9, 0.5 + 1e-9), (1, 1), (1, 0.6)])
 # distinct vertices whose distance underflows to 0
-@example(cfg=pair([(0.0,), (0.013,)], [(0.0,), (1.7e-234,)]))
+UNDERFLOW_PAIR = pair([(0.0,), (0.013,)], [(0.0,), (1.7e-234,)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=simplex_configurations())
+@example(cfg=CROSS_AXIS_PAIR)
+@example(cfg=NEAR_EDGE_PAIR)
+@example(cfg=UNDERFLOW_PAIR)
 def test_face_to_face_matches_all_pairs_oracle(cfg):
     # where the scalar test rejects a facet the circumball accepted, both
     # routes must raise
@@ -177,6 +182,63 @@ def test_face_to_face_matches_all_pairs_oracle(cfg):
 
     got = outcome(lambda c: check_face_to_face(c).violations)
     assert got == outcome(face_to_face_violations_all_pairs), [c.points for c in cfg.clusters]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=simplex_configurations())
+@example(cfg=CROSS_AXIS_PAIR)
+@example(cfg=NEAR_EDGE_PAIR)
+@example(cfg=UNDERFLOW_PAIR)
+def test_face_relations_match_scalar_pair_by_pair(cfg):
+    # every ordered pair, identical ones included: one batch for the
+    # pairs the scalar decides, and each pair it raises on alone
+    def relation(x, y):
+        try:
+            return common_face_check_scalar(x, y).value
+        except DegenerateSimplex:
+            return DegenerateSimplex
+
+    assume(cfg.clusters)
+    pairs = list(itertools.product(cfg.clusters, repeat=2))
+    want = np.array([relation(a, b) for a, b in pairs], dtype=object)
+    x, y = (np.array([p[k].points for p in pairs]) for k in (0, 1))
+    raises = want == DegenerateSimplex
+    for p in np.flatnonzero(raises):
+        with pytest.raises(DegenerateSimplex):
+            face_relations(x[p : p + 1], y[p : p + 1])
+    assert face_relations(x[~raises], y[~raises]).tolist() == want[~raises].tolist()
+
+
+def _count_kernel_pairs(monkeypatch):
+    sent = []
+    kernel = tessellation.face_relations
+    monkeypatch.setattr(tessellation, "face_relations", lambda x, y: sent.append(len(x)) or kernel(x, y))
+    return sent
+
+
+def test_certificate_decides_delone_output(monkeypatch):
+    # every pair of certain Delone triangles is certified from the empty
+    # circumballs, so none reaches the face test
+    sent = _count_kernel_pairs(monkeypatch)
+    for rep in range(4):
+        eta = sample_poisson_homogeneous(200.0, UNIT, mix_seed(211, rep))
+        cfg = extract_clusters(delone_property(0.1), eta).subset(certain_only=True)
+        assert len(cfg) > 250
+        assert check_face_to_face(cfg).face_to_face
+    assert sent == []
+
+
+def test_certificate_leaves_near_cospherical_pairs_to_the_face_test(monkeypatch):
+    # a square with one corner 5e-9 off the circle: outside each
+    # triangle's circumball by more than the Delone band and less than
+    # the certificate's margin, so the face test decides
+    sent = _count_kernel_pairs(monkeypatch)
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0 + 5e-9)]
+    eta = PointConfiguration(corners, None, Window((-1.0, -1.0), (2.0, 2.0)))
+    cfg = extract_clusters(delone_property(1.0), eta)
+    assert len(cfg) == 2
+    assert check_face_to_face(cfg).violations == face_to_face_violations_all_pairs(cfg) == ()
+    assert sent == [1]
 
 
 def test_face_to_face_singular_facet_subsets_warn_nothing():
