@@ -27,9 +27,9 @@ window = Window((0.0, 0.0), (1.0, 1.0))
 radius_cap = 0.12
 eta = sample_poisson_homogeneous(100.0, window, seed=4)
 cfg = extract_clusters(delone_property(radius_cap), eta)
-certain = cfg.subset(certain_only=True)
+certain = cfg.certain()
 
-report = build_report(certain, window, 2, n_samples=4000, seed=99)
+report = build_report(certain, n_samples=4000, seed=99)
 print(f"{eta.n_atoms} points, {len(cfg)} clusters ({len(certain)} boundary-certain)")
 print(f"simplicial: {report.simplicial}, face-to-face: {report.face_to_face}")
 print(

@@ -28,13 +28,13 @@ OUT = Path(__file__).parent / "output"
 window = Window((0.0, 0.0), (1.0, 1.0))
 eta = sample_poisson_homogeneous(60.0, window, seed=15)
 cells = extract_clusters(voronoi_property(window), eta)
-centers = voronoi_cell_centers(eta, window)
+centers = voronoi_cell_centers(eta)
 
 print(f"{eta.n_atoms} points generate {len(cells)} bounded cells")
 print(f"{len(cells.certain())} cells are boundary-certain")
 sizes = sorted(len(c) for c in cells.clusters)
 print(f"cell vertex counts range from {sizes[0]} to {sizes[-1]}")
-example = cells.certain()[0]
+example = cells.certain().clusters[0]
 print("one certain cell, counterclockwise from the smallest angle:")
 for v in example.points:
     print(f"   ({v[0]:.4f}, {v[1]:.4f})")

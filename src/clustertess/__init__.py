@@ -45,7 +45,6 @@ from .clusterprops import (
     ClusterConfiguration,
     ClusterProperty,
     PropertyMode,
-    cluster_count,
     delone_property,
     extract_clusters,
     hardcore_property,

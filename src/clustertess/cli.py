@@ -101,11 +101,16 @@ def _read_config_file(path: str) -> dict:
     return config
 
 
-def _parse_window(text: str, margin: float) -> Window:
+def _parse_floats(text: str, what: str) -> list:
+    """The comma-separated numbers of text; a ConfigError naming `what` otherwise."""
     try:
-        parts = [float(p) for p in text.split(",")]
+        return [float(p) for p in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad window {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _parse_window(text: str, margin: float) -> Window:
+    parts = _parse_floats(text, "window")
     if len(parts) % 2 != 0 or not parts:
         raise ConfigError(f"window needs an even number of coordinates, got {text!r}")
     d = len(parts) // 2
@@ -200,11 +205,8 @@ def cmd_tessellate(args) -> int:
         prop = _build_property(res, eta.window)
         cfg = extract_clusters(prop, eta)
         if certain_only:
-            cfg = cfg.subset(True)
-        report = build_report(
-            cfg, eta.window, eta.dimension,
-            n_samples=n_samples, seed=mix_seed(seed, int(rec["replication"])),
-        )
+            cfg = cfg.certain()
+        report = build_report(cfg, n_samples, mix_seed(seed, int(rec["replication"])))
         out_records.append(make_record(int(rec["replication"]), eta, cfg, report))
     _emit(res.get("out", str), dump_records(out_records))
     return EXIT_OK
@@ -221,10 +223,7 @@ def cmd_validate(args) -> int:
         eta, cfg, _ = record_to_objects(rec)
         if cfg is None:
             raise ConfigError("records carry no clusters; run tessellate first")
-        report = build_report(
-            cfg, eta.window, eta.dimension,
-            n_samples=n_samples, seed=mix_seed(seed, int(rec["replication"])),
-        )
+        report = build_report(cfg, n_samples, mix_seed(seed, int(rec["replication"])))
         if report.face_to_face is False:
             failed = True
         lines.append({"replication": int(rec["replication"]), **report_to_dict(report)})
@@ -282,11 +281,9 @@ def cmd_stats(args) -> int:
     test = res.get("test", str, required=True)
     seed = res.seed()
     if test == "poisson-count":
-        margin = res.get("buffer-margin", float, 0.0)
-        window = _parse_window(res.get("window", str, required=True), margin)
         report = poisson_count_test(
             res.get("lambda", float, required=True),
-            window,
+            _parse_window(res.get("window", str, required=True), 0.0),
             res.get("reps", int, 10_000),
             seed,
         )
@@ -298,7 +295,7 @@ def cmd_stats(args) -> int:
             seed,
         )
     elif test == "intensity":
-        sizes = [float(s) for s in res.get("window-sizes", str, "1,2,3").split(",")]
+        sizes = _parse_floats(res.get("window-sizes", str, "1,2,3"), "window sizes")
         dimension = res.get("dimension", int, 2)
         name = res.get("property", str, required=True)
         if name == "hardcore":
@@ -393,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=["poisson-count", "occupation", "intensity"])
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--window")
-    p.add_argument("--buffer-margin", type=float)
     p.add_argument("--reps", type=int)
     p.add_argument("--c", type=float)
     p.add_argument("--sites", type=int)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -67,7 +67,12 @@ class ClusterProperty:
 
 
 class ClusterConfiguration:
-    """Finite, canonically ordered collection of clusters with flags."""
+    """Finite, canonically ordered collection of clusters with flags,
+    built for a point configuration in `source_window`.
+
+    It is all that validation needs: the window, and with it the
+    dimension d, come from `source_window`.
+    """
 
     __slots__ = ("clusters", "boundary_uncertain", "source_window")
 
@@ -93,16 +98,10 @@ class ClusterConfiguration:
     def __iter__(self):
         return iter(self.clusters)
 
-    def certain(self) -> Tuple[Cluster, ...]:
-        return tuple(c for c, u in zip(self.clusters, self.boundary_uncertain) if not u)
-
-    def subset(self, certain_only: bool) -> "ClusterConfiguration":
-        if not certain_only:
-            return self
-        pairs = [(c, u) for c, u in zip(self.clusters, self.boundary_uncertain) if not u]
-        return ClusterConfiguration(
-            [c for c, _ in pairs], [u for _, u in pairs], self.source_window
-        )
+    def certain(self) -> "ClusterConfiguration":
+        """The boundary-certain clusters, in order, for the same window."""
+        kept = [c for c, u in zip(self.clusters, self.boundary_uncertain) if not u]
+        return ClusterConfiguration(kept, [False] * len(kept), self.source_window)
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,12 +135,6 @@ def extract_clusters(prop: ClusterProperty, eta: PointConfiguration) -> ClusterC
     accepted.sort()
     flags = [prop.boundary_uncertain(c, eta) for c in accepted]
     return ClusterConfiguration(accepted, flags, eta.window)
-
-
-def cluster_count(cfg: ClusterConfiguration, certain_only: bool = False) -> int:
-    if certain_only:
-        return sum(1 for u in cfg.boundary_uncertain if not u)
-    return len(cfg.clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +376,10 @@ def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool):
     return out
 
 
-def voronoi_cell_centers(eta: PointConfiguration, window: Window) -> dict:
-    """Map from each bounded Voronoi cell cluster to its center point."""
-    cap = 2.0 * window.diameter()
+def voronoi_cell_centers(eta: PointConfiguration) -> dict:
+    """Map from each bounded Voronoi cell cluster to its center point,
+    under `voronoi_property(eta.window)`'s cap."""
+    cap = 2.0 * eta.window.diameter()
     return {c: ctr for c, (ctr, _) in _voronoi_cells(eta, cap, False).items()}
 
 

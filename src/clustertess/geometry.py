@@ -44,7 +44,7 @@ class Cluster:
     the same point set always compare equal.
     """
 
-    __slots__ = ("points", "_key")
+    __slots__ = ("points", "_key", "_hash")
 
     def __init__(self, points: Iterable[PointLike]):
         pts = tuple(tuple(float(c) for c in p) for p in points)
@@ -65,6 +65,7 @@ class Cluster:
                 raise ValueError(f"duplicate point in cluster: {a}")
         self.points = pts
         self._key = key
+        self._hash = hash(key)
 
     @property
     def dimension(self) -> int:
@@ -83,7 +84,7 @@ class Cluster:
         return isinstance(other, Cluster) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __lt__(self, other: "Cluster") -> bool:
         return self._key < other._key

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaincinv
 
-from .clusterprops import ClusterProperty, cluster_count, extract_clusters
+from .clusterprops import ClusterProperty, extract_clusters
 from .cutproject import Chain, decompose_length
 from .pointproc import DiscreteIntensity, ProcessSampler, Window, sample_poisson_discrete, sample_poisson_homogeneous
 from .randomness import make_rng, mix_seed, poisson_count
@@ -204,11 +204,11 @@ def cluster_intensity_scan(
         rates = []
         for rep in range(n_reps):
             eta = sample_poisson_homogeneous(lam, window, mix_seed(seed, wi * n_reps + rep))
-            cfg = extract_clusters(prop, eta)
+            certain = extract_clusters(prop, eta).certain()
             if prop.certainty_ball is None:
-                rates.append(cluster_count(cfg, certain_only=True) / window.volume())
+                rates.append(len(certain) / window.volume())
             else:
-                radii = [prop.certainty_ball(c, eta).radius for c in cfg.certain()]
+                radii = [prop.certainty_ball(c, eta).radius for c in certain]
                 rates.append(_border_corrected_rate(np.array(radii, dtype=float), window))
         means.append(float(np.mean(rates)))
         ses.append(float(np.std(rates, ddof=1) / math.sqrt(n_reps)))

@@ -27,7 +27,6 @@ from .geometry import (
     facet_planes,
 )
 from .clusterprops import ClusterConfiguration
-from .pointproc import Window
 from .randomness import make_rng
 from .stats import SIGMA_BAND
 
@@ -48,15 +47,17 @@ class TessellationReport:
             raise ValueError("covered fraction must lie in [0, 1]")
 
 
-def check_simplicial(cfg: ClusterConfiguration, d: int) -> bool:
+def check_simplicial(cfg: ClusterConfiguration) -> bool:
     """True iff every cluster is d+1 affinely independent points in R^d,
-    by `circumball`'s degeneracy rule (one batched `circumballs` call)."""
-    return _circumscribed(cfg, d) is not None
+    d the dimension of cfg.source_window, by `circumball`'s degeneracy
+    rule (one batched `circumballs` call)."""
+    return _circumscribed(cfg) is not None
 
 
-def _circumscribed(cfg: ClusterConfiguration, d: int):
+def _circumscribed(cfg: ClusterConfiguration):
     """The clusters as an (m, d+1, d) array with their circumcentres and
     circumradii, or None unless `check_simplicial` holds."""
+    d = cfg.source_window.dimension
     if not all(c.dimension == d and len(c) == d + 1 for c in cfg.clusters):
         return None
     simplices = np.array([c.points for c in cfg.clusters], dtype=float).reshape(-1, d + 1, d)
@@ -92,33 +93,33 @@ def check_face_to_face(cfg: ClusterConfiguration) -> TessellationReport:
     `face_relations`, the batched face test, in blocks of _BLOCK pairs.
 
     The returned report carries the improper pairs as (i, j) indices
-    into cfg.clusters, i < j, in ascending order.
+    into cfg.clusters, i < j, in ascending order. Input that fails
+    `check_simplicial` raises `NonSimplicialInput`.
     """
-    clusters = cfg.clusters
-    if not clusters:
-        return TessellationReport(face_to_face=True, violations=(), simplicial=True)
-    d = clusters[0].dimension
-    circumscribed = _circumscribed(cfg, d)
+    circumscribed = _circumscribed(cfg)
     if circumscribed is None:
         raise NonSimplicialInput(
             "face-to-face checking needs discrete simplices; run check_simplicial first"
         )
-    verts = circumscribed[0]
+    violations = _violations(*circumscribed)
+    return TessellationReport(face_to_face=not violations, violations=violations, simplicial=True)
+
+
+def _violations(verts, centers, radii) -> Tuple[Tuple[int, int], ...]:
+    """The improper pairs of `check_face_to_face`, from `_circumscribed`."""
+    m, _, d = verts.shape
+    if not m:
+        return ()
     atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
     i, j = _box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), atol)
     # above d = 3, the face test raises UnsupportedDimension on any pair
-    certified = _certified_pairs(*circumscribed, atol, i, j) if d <= 3 else np.zeros(len(i), dtype=bool)
+    certified = _certified_pairs(verts, centers, radii, atol, i, j) if d <= 3 else np.zeros(len(i), dtype=bool)
     todo = np.nonzero(~certified)[0]
     improper = np.zeros(len(i), dtype=bool)
     for s in range(0, len(todo), _BLOCK):
         k = todo[s : s + _BLOCK]
         improper[k] = face_relations(verts[i[k]], verts[j[k]]) == FaceRelation.IMPROPER.value
-    violations = tuple(zip(i[improper].tolist(), j[improper].tolist()))
-    return TessellationReport(
-        face_to_face=not violations,
-        violations=violations,
-        simplicial=True,
-    )
+    return tuple(zip(i[improper].tolist(), j[improper].tolist()))
 
 
 # pairs decided per batch, which bounds the working memory
@@ -179,10 +180,21 @@ def _certified_pairs(verts, centers, radii, atol: float, i: np.ndarray, j: np.nd
     for s in range(0, len(loose), _BLOCK):
         p = loose[s : s + _BLOCK]
         axes = np.concatenate([units[i[p]], units[j[p]]], axis=1)
-        with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
-            det = np.abs(np.linalg.det(axes[:, subsets]))
+        det = np.abs(_small_det(axes[:, subsets]))
         proper[p] = np.all((det < SINGULAR_DET / 2) | (det >= _WELL_CONDITIONED_DET), axis=1)
     return proper
+
+
+def _small_det(a: np.ndarray) -> np.ndarray:
+    """The determinants of the trailing d x d matrices of a, d <= 3, in
+    closed form. They differ from LU's by rounding, which the guard's
+    margins on both sides of its band absorb."""
+    d = a.shape[-1]
+    if d == 1:
+        return a[..., 0, 0]
+    if d == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return (a[..., 0, :] * np.cross(a[..., 1, :], a[..., 2, :])).sum(axis=-1)
 
 
 def hull_contains_points(cluster: Cluster, queries: np.ndarray) -> np.ndarray:
@@ -208,11 +220,9 @@ def hull_contains_points(cluster: Cluster, queries: np.ndarray) -> np.ndarray:
     return _hull_cover((cluster,), np.atleast_2d(np.asarray(queries, dtype=float)))
 
 
-def covered_fraction(
-    cfg: ClusterConfiguration, window: Window, n_samples: int, seed: int
-) -> Tuple[float, float]:
-    """Monte-Carlo estimate of the fraction of the (buffer-eroded)
-    window covered by the union of the cluster hulls.
+def covered_fraction(cfg: ClusterConfiguration, n_samples: int, seed: int) -> Tuple[float, float]:
+    """Monte-Carlo estimate of the fraction of cfg.source_window, eroded
+    by its buffer margin, covered by the union of the cluster hulls.
 
     A sample is covered when `hull_contains_points` holds for it and
     some cluster. All (sample, cluster) pairs are decided in one pass:
@@ -225,6 +235,7 @@ def covered_fraction(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    window = cfg.source_window
     region = window.erode(window.buffer_margin) if window.buffer_margin > 0 else window
     rng = make_rng(seed)
     samples = np.asarray(region.low) + rng.random((n_samples, region.dimension)) * region.extent()
@@ -403,30 +414,19 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return offsets + np.repeat(starts, counts)
 
 
-def build_report(
-    cfg: ClusterConfiguration,
-    window: Window,
-    d: int,
-    n_samples: int = 2000,
-    seed: int = 0,
-) -> TessellationReport:
-    """Full report: simplicial check, face-to-face when applicable,
-    Monte-Carlo coverage and the holes verdict at SIGMA_BAND standard
-    errors. `check_face_to_face` runs the simplicial check."""
-    simplicial = all(c.dimension == d for c in cfg.clusters)
-    face_to_face = None
-    violations: Tuple[Tuple[int, int], ...] = ()
-    if simplicial:
-        try:
-            partial = check_face_to_face(cfg)
-            face_to_face, violations = partial.face_to_face, partial.violations
-        except NonSimplicialInput:
-            simplicial = False
-    fraction, se = covered_fraction(cfg, window, n_samples, seed)
+def build_report(cfg: ClusterConfiguration, n_samples: int = 2000, seed: int = 0) -> TessellationReport:
+    """Full report on cfg, in the dimension of cfg.source_window: the
+    simplicial check, face-to-face where it holds, Monte-Carlo coverage
+    of the window (`covered_fraction`) and the holes verdict at
+    SIGMA_BAND standard errors. One `circumballs` pass decides the
+    simplicial check and feeds the face-to-face check."""
+    circumscribed = _circumscribed(cfg)
+    violations = _violations(*circumscribed) if circumscribed is not None else ()
+    fraction, se = covered_fraction(cfg, n_samples, seed)
     return TessellationReport(
-        face_to_face=face_to_face,
+        face_to_face=None if circumscribed is None else not violations,
         violations=violations,
-        simplicial=simplicial,
+        simplicial=circumscribed is not None,
         covered_fraction=fraction,
         coverage_se=se,
         holes_detected=bool(fraction + SIGMA_BAND * se < 1.0),

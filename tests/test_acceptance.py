@@ -22,7 +22,6 @@ from clustertess import (
     check_face_to_face,
     check_simplicial,
     circumball,
-    cluster_count,
     covered_fraction,
     decompose_length,
     delone_property,
@@ -151,8 +150,8 @@ def test_criterion_04_face_to_face_simplicial():
     non_simplicial = 0
     for rep in range(200):
         eta = sample_poisson_homogeneous(50.0, UNIT, mix_seed(404, rep))
-        cfg = extract_clusters(prop, eta).subset(certain_only=True)
-        if not check_simplicial(cfg, 2):
+        cfg = extract_clusters(prop, eta).certain()
+        if not check_simplicial(cfg):
             non_simplicial += 1
             continue
         report = check_face_to_face(cfg)
@@ -171,7 +170,7 @@ def test_criterion_05_holes():
     for rep in range(100):
         eta = sample_poisson_homogeneous(100.0, UNIT, mix_seed(505, rep))
         cfg = extract_clusters(prop, eta)
-        fraction, se = covered_fraction(cfg, UNIT, 2000, mix_seed(10505, rep))
+        fraction, se = covered_fraction(cfg, 2000, mix_seed(10505, rep))
         if fraction + 4.0 * se < 1.0:
             holes += 1
     _verdict(5, "holes in sparse tessellation", holes >= 99, f"{holes}/100 replications show holes")
@@ -185,7 +184,7 @@ def test_criterion_06_voronoi_completeness_duality():
     for seed in (606, 607):
         eta = sample_poisson_homogeneous(100.0, UNIT, seed)
         cells = extract_clusters(voronoi_property(UNIT), eta)
-        centers = voronoi_cell_centers(eta, UNIT)
+        centers = voronoi_cell_centers(eta)
         oracle = voronoi_vertices_brute_force(eta)
         point_index = {tuple(p): i for i, p in enumerate(eta.points)}
         for cell, uncertain in zip(cells.clusters, cells.boundary_uncertain):
@@ -342,7 +341,7 @@ def test_criterion_11_zero_infinity_proxy():
         boundary_uncertain=lambda cluster, eta: False,
     )
     zero_counts = all(
-        cluster_count(
+        len(
             extract_clusters(
                 unsatisfiable,
                 sample_poisson_homogeneous(50.0, UNIT, mix_seed(1112, rep)),

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from clustertess import (
     Cluster,
+    ClusterConfiguration,
     NotSimple,
     PointConfiguration,
     UnsupportedDimension,
     Window,
     circumball,
-    cluster_count,
     delone_property,
     extract_clusters,
     hardcore_property,
@@ -299,7 +299,7 @@ def test_voronoi_five_point_example():
     cell = cells.clusters[0]
     # counterclockwise around the center, starting from the smallest angle
     assert cell.points == ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
-    centers = voronoi_cell_centers(eta, window)
+    centers = voronoi_cell_centers(eta)
     assert centers[cell] == (0.0, 0.0)
 
 
@@ -313,7 +313,7 @@ def test_voronoi_matches_equidistance_oracle():
     window = Window((0.0, 0.0), (1.0, 1.0))
     eta = sample_poisson_homogeneous(30.0, window, 42)
     cells = extract_clusters(voronoi_property(window), eta)
-    centers = voronoi_cell_centers(eta, window)
+    centers = voronoi_cell_centers(eta)
     oracle = voronoi_vertices_brute_force(eta)
     point_index = {tuple(p): i for i, p in enumerate(eta.points)}
     n_checked = 0
@@ -391,13 +391,16 @@ def test_voronoi_rejects_other_dimensions():
 # counting
 
 
-def test_cluster_count():
+def test_certain_keeps_the_certain_clusters():
     window = Window((0, 0), (1, 1))
     eta = sample_poisson_homogeneous(20.0, window, 5)
     cfg = extract_clusters(delone_property(0.4), eta)
-    assert cluster_count(cfg) == len(cfg.clusters)
-    assert cluster_count(cfg, certain_only=True) == sum(
-        1 for u in cfg.boundary_uncertain if not u
-    )
+    certain = cfg.certain()
+    assert isinstance(certain, ClusterConfiguration)
+    assert certain.clusters == tuple(c for c, u in zip(cfg.clusters, cfg.boundary_uncertain) if not u)
+    assert certain.boundary_uncertain == (False,) * len(certain)
+    assert certain.source_window == window
+    assert 0 < len(certain) < len(cfg)
+    assert certain.certain() == certain
     empty = extract_clusters(delone_property(0.4), PointConfiguration(np.empty((0, 2)), None, window))
-    assert cluster_count(empty) == 0
+    assert len(empty) == 0 and empty.certain() == empty

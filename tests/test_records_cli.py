@@ -32,7 +32,7 @@ def test_record_round_trip_bit_exact():
     awkward = [(0.1, 1.0 / 3.0), (0.7000000000000001, 1e-15), (2.0 / 3.0, 0.9999999999999999)]
     eta = PointConfiguration(awkward, [1, 2, 1], window)
     cfg = extract_clusters(delone_property(5.0), PointConfiguration(awkward, None, window))
-    report = build_report(cfg, window, 2, n_samples=200, seed=9)
+    report = build_report(cfg, n_samples=200, seed=9)
     record = make_record(3, eta, cfg, report)
     text = dump_records([record])
     parsed = parse_records(text)
@@ -140,6 +140,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("tessellate", "--in", str(tmp_path / "missing.ndjson"), "--property", "delone", "--radius-cap", "1") == 1
     assert run_cli("sample", "--process", "poisson", "--lambda", "5", "--window", "bad") == 1
     assert run_cli("chain", "--variant", "thinned", "--c", "0.5", "--range", "0", "x") == 1
+    intensity = ("stats", "--test", "intensity", "--property", "delone", "--radius-cap", "0.5", "--lambda", "5")
+    assert run_cli(*intensity, "--window-sizes", "1,x", "--reps", "2") == 1
+    # stats takes no buffer margin: no statistic depends on one
+    assert run_cli("stats", "--test", "poisson-count", "--lambda", "5", "--window", "0,0,1,1", "--buffer-margin", "0.1") == 1
     # runtime error: corrupt records
     bad = tmp_path / "bad.ndjson"
     bad.write_text('{"replication": 0}\n')

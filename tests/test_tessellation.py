@@ -12,6 +12,7 @@ from clustertess import (
     Cluster,
     ClusterConfiguration,
     DegenerateSimplex,
+    EPS_GEOM,
     NonSimplicialInput,
     PointConfiguration,
     UnsupportedDimension,
@@ -56,26 +57,26 @@ def silver_mean_patch_clusters(open_ball_mode):
 def test_simplicial_checks():
     eta = sample_poisson_homogeneous(40.0, UNIT, 3)
     delone = extract_clusters(delone_property(0.4), eta)
-    assert check_simplicial(delone, 2)
+    assert check_simplicial(delone)
     cells = extract_clusters(voronoi_property(UNIT), eta)
-    assert not check_simplicial(cells, 2)  # generic cells have > 3 vertices
+    assert not check_simplicial(cells)  # generic cells have > 3 vertices
     empty = ClusterConfiguration([], [], UNIT)
-    assert check_simplicial(empty, 2)
+    assert check_simplicial(empty)
 
 
 def test_check_simplicial_single_cluster():
     def one(*points):
         return ClusterConfiguration([Cluster(points)], [False], UNIT)
 
-    assert check_simplicial(one((0, 0), (1, 0), (0, 1)), 2)
-    assert not check_simplicial(one((0, 0), (1, 0), (2, 0)), 2)
-    assert not check_simplicial(one((0, 0), (1, 0)), 2)
+    assert check_simplicial(one((0, 0), (1, 0), (0, 1)))
+    assert not check_simplicial(one((0, 0), (1, 0), (2, 0)))
+    assert not check_simplicial(one((0, 0), (1, 0)))
 
 
 def test_face_to_face_on_delone_output():
     for rep in range(10):
         eta = sample_poisson_homogeneous(50.0, UNIT, mix_seed(131, rep))
-        cfg = extract_clusters(delone_property(0.3), eta).subset(certain_only=True)
+        cfg = extract_clusters(delone_property(0.3), eta).certain()
         report = check_face_to_face(cfg)
         assert report.face_to_face is True
         assert report.violations == ()
@@ -222,7 +223,7 @@ def test_certificate_decides_delone_output(monkeypatch):
     sent = _count_kernel_pairs(monkeypatch)
     for rep in range(4):
         eta = sample_poisson_homogeneous(200.0, UNIT, mix_seed(211, rep))
-        cfg = extract_clusters(delone_property(0.1), eta).subset(certain_only=True)
+        cfg = extract_clusters(delone_property(0.1), eta).certain()
         assert len(cfg) > 250
         assert check_face_to_face(cfg).face_to_face
     assert sent == []
@@ -241,9 +242,45 @@ def test_certificate_leaves_near_cospherical_pairs_to_the_face_test(monkeypatch)
     assert sent == [1]
 
 
+def test_guard_determinants_match_lu():
+    # the guard's closed-form determinants against LU's, on unit rows as
+    # the facet normals are, within 64 ulps of 1 (|det| <= 1 there)
+    rng = make_rng(3)
+    for d in (1, 2, 3):
+        a = rng.normal(size=(2000, d, d))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        a[:100, -1] = a[:100, 0]  # exactly singular
+        got = tessellation._small_det(a)
+        with np.errstate(divide="ignore"):  # LU takes the log of a zero pivot
+            want = np.linalg.det(a)
+        assert np.allclose(got, want, rtol=0.0, atol=64 * np.finfo(float).eps)
+
+
+def test_guard_flags_match_lu(monkeypatch):
+    # certified pairs with the guard's determinants taken by LU instead:
+    # the same pairs go on to the face test
+    rng = make_rng(0)
+    offsets = np.array([0.0, 0.0, 1e-11, -1e-10, 1e-9, -1e-8, 1e-7])
+    grid = np.stack(np.meshgrid(*[np.arange(4) * 0.5] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    jittered = PointConfiguration(grid + rng.choice(offsets, size=grid.shape), None, Window((-1.0,) * 3, (3.0,) * 3))
+    delone = sample_poisson_homogeneous(200.0, UNIT, mix_seed(211, 0))
+    for cfg in (
+        extract_clusters(delone_property(1.0), jittered),
+        extract_clusters(delone_property(0.1), delone).certain(),
+    ):
+        verts, centers, radii = tessellation._circumscribed(cfg)
+        atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
+        i, j = tessellation._box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), atol)
+        got = tessellation._certified_pairs(verts, centers, radii, atol, i, j)
+        with monkeypatch.context() as patch, np.errstate(divide="ignore"):
+            patch.setattr(tessellation, "_small_det", np.linalg.det)
+            want = tessellation._certified_pairs(verts, centers, radii, atol, i, j)
+        assert np.array_equal(got, want)
+
+
 def test_face_to_face_singular_facet_subsets_warn_nothing():
     # some d-subsets of these facet normals are exactly singular, where
-    # numpy's det warns of the log of a zero pivot
+    # an LU determinant would warn of the log of a zero pivot
     cfg = pair(
         [(0.0, 0.0, 0.0), (0.0, -1e-07, 0.0), (0.0, 0.0, 1.0), (0.25, 0.25, 0.0)],
         [(0.0, 0.0, 0.0), (0.0, 0.0, 0.25), (0.0, 0.25, 2.2250738585072014e-308), (0.25, 0.25, 0.0)],
@@ -265,7 +302,7 @@ def test_face_to_face_handles_what_check_simplicial_accepts():
         [(2, 0.8167681913491067), (1.500000001, 1.499999999), (1.499999999, 1.5)],
         [(1.5, 1.5), (2.5, 1.5), (2, 2.5)],
     )
-    if check_simplicial(cfg, 2):
+    if check_simplicial(cfg):
         check_face_to_face(cfg)
     else:
         with pytest.raises(NonSimplicialInput):
@@ -285,7 +322,7 @@ def test_face_to_face_tetrahedra_sharing_an_edge():
             (0.06052782963859327, -0.6672906388265929, -0.8020223232487717),
         ],
     )
-    assert check_simplicial(cfg, 3)
+    assert check_simplicial(cfg)
     assert check_face_to_face(cfg).face_to_face
 
 
@@ -308,10 +345,10 @@ def test_covered_fraction_full_and_empty():
     big_triangle = ClusterConfiguration(
         [Cluster([(-5, -5), (5, -5), (0, 5)])], [False], window
     )
-    fraction, se = covered_fraction(big_triangle, window, 500, seed=1)
+    fraction, se = covered_fraction(big_triangle, 500, seed=1)
     assert fraction == 1.0 and se == 0.0
     empty = ClusterConfiguration([], [], window)
-    fraction, se = covered_fraction(empty, window, 500, seed=1)
+    fraction, se = covered_fraction(empty, 500, seed=1)
     assert fraction == 0.0
 
 
@@ -321,11 +358,11 @@ def test_covered_fraction_respects_buffer_margin():
     triangle = ClusterConfiguration(
         [Cluster([(-2, 0.25), (3, 0.25), (0.5, 4)])], [False], window
     )
-    fraction, _ = covered_fraction(triangle, window, 2000, seed=2)
+    fraction, _ = covered_fraction(triangle, 2000, seed=2)
     assert fraction == 1.0
     full = Window((0.0, 0.0), (1.0, 1.0))
     fraction_full, _ = covered_fraction(
-        ClusterConfiguration(triangle.clusters, (False,), full), full, 2000, seed=2
+        ClusterConfiguration(triangle.clusters, (False,), full), 2000, seed=2
     )
     assert fraction_full < 1.0
 
@@ -333,7 +370,7 @@ def test_covered_fraction_respects_buffer_margin():
 def test_sparse_delone_leaves_holes():
     eta = sample_poisson_homogeneous(100.0, UNIT, 7)
     cfg = extract_clusters(delone_property(0.05), eta)
-    fraction, se = covered_fraction(cfg, UNIT, 2000, seed=3)
+    fraction, se = covered_fraction(cfg, 2000, seed=3)
     assert fraction + 4 * se < 1.0
 
 
@@ -369,11 +406,26 @@ def test_hull_membership_measures_edges_as_the_scalar_test():
 def test_build_report_full():
     eta = sample_poisson_homogeneous(60.0, UNIT, 23)
     cfg = extract_clusters(delone_property(0.25), eta)
-    report = build_report(cfg, UNIT, 2, n_samples=1000, seed=4)
+    report = build_report(cfg, n_samples=1000, seed=4)
     assert report.simplicial is True
     assert report.face_to_face is True
     assert 0.0 <= report.covered_fraction <= 1.0
     assert report.holes_detected == (report.covered_fraction + 4 * report.coverage_se < 1.0)
+
+
+def test_build_report_without_simplices():
+    # Voronoi cells and a flat triangle are not simplicial: no
+    # face-to-face verdict; an empty configuration is vacuously simplicial
+    eta = sample_poisson_homogeneous(40.0, UNIT, 3)
+    cells = extract_clusters(voronoi_property(UNIT), eta)
+    flat = ClusterConfiguration([Cluster([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)])], [False], UNIT)
+    for cfg in (cells, flat):
+        report = build_report(cfg, n_samples=500, seed=1)
+        assert (report.simplicial, report.face_to_face, report.violations) == (False, None, ())
+        assert (report.covered_fraction, report.coverage_se) == covered_fraction(cfg, 500, 1)
+    report = build_report(ClusterConfiguration([], [], UNIT), n_samples=500, seed=1)
+    assert (report.simplicial, report.face_to_face, report.violations) == (True, True, ())
+    assert (report.covered_fraction, report.holes_detected) == (0.0, True)
 
 
 def test_voronoi_certain_cells_cover_their_region():
@@ -382,7 +434,7 @@ def test_voronoi_certain_cells_cover_their_region():
     window = Window((0.0, 0.0), (1.0, 1.0))
     eta = sample_poisson_homogeneous(50.0, window, 29)
     cells = extract_clusters(voronoi_property(window), eta)
-    centers = voronoi_cell_centers(eta, window)
+    centers = voronoi_cell_centers(eta)
     cell_of_center = {centers[c]: (c, u) for c, u in zip(cells.clusters, cells.boundary_uncertain)}
     rng = make_rng(31)
     samples = rng.random((4000, 2))
@@ -473,7 +525,7 @@ def test_coverage_matches_scalar_loop(cfg, n_samples, seed):
         assert np.array_equal(hull_contains_points(cluster, queries), want), cluster.points
         union |= want
     assert np.array_equal(tessellation._hull_cover(cfg.clusters, queries), union)
-    got = covered_fraction(cfg, cfg.source_window, n_samples, seed)
+    got = covered_fraction(cfg, n_samples, seed)
     want = covered_fraction_loop(cfg, cfg.source_window, n_samples, seed)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -484,7 +536,7 @@ def test_coverage_blocks_match_one_pass(monkeypatch):
     want = covered_fraction_loop(cfg, UNIT, 1500, 9)
     for cap in (1, 50):
         monkeypatch.setattr(tessellation, "_COVER_BLOCK", cap)
-        assert covered_fraction(cfg, UNIT, 1500, 9) == want
+        assert covered_fraction(cfg, 1500, 9) == want
 
 
 def test_coverage_rejects_unsupported_clusters_anywhere():
@@ -500,6 +552,6 @@ def test_coverage_rejects_unsupported_clusters_anywhere():
         cfg = ClusterConfiguration([big, cluster], [False, False], window)
         assert covered_fraction_loop(cfg, window, 100, 1) == (1.0, 0.0)
         with pytest.raises(UnsupportedDimension):
-            covered_fraction(cfg, window, 100, 1)
+            covered_fraction(cfg, 100, 1)
         with pytest.raises(UnsupportedDimension):
             hull_contains_points(cluster, np.zeros((1, 3)))
