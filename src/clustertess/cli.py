@@ -114,10 +114,7 @@ def _parse_window(text: str, margin: float) -> Window:
     if len(parts) % 2 != 0 or not parts:
         raise ConfigError(f"window needs an even number of coordinates, got {text!r}")
     d = len(parts) // 2
-    try:
-        return Window(tuple(parts[:d]), tuple(parts[d:]), margin)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Window(tuple(parts[:d]), tuple(parts[d:]), margin)  # `main` reports a ValueError as a config error
 
 
 def _emit(out_path, text: str) -> None:
@@ -414,10 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except ValueError as exc:  # these read no records, so an option value is at fault
+            if args.func not in (cmd_sample, cmd_chain, cmd_stats):
+                raise
+            raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"clustertess: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,6 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import NotSimple, UnsupportedDimension
 from .geometry import EPS_GEOM, Ball, Cluster, circumballs, is_discrete_polytope
@@ -199,6 +198,8 @@ def hardcore_property(r: float) -> ClusterProperty:
         raise ValueError(f"hard-core radius must be positive, got {r}")
 
     def build(eta: PointConfiguration) -> dict:
+        from scipy.spatial import cKDTree
+
         pts = eta.points
         i, j = cKDTree(pts).query_pairs(r * _REACH + _REACH_FLOOR, output_type="ndarray").T
         dist = np.linalg.norm(pts[j] - pts[i], axis=1)
@@ -218,7 +219,7 @@ def hardcore_property(r: float) -> ClusterProperty:
 # Delone simplices with capped circumradius
 
 
-def _delone_candidate_rows(pts: np.ndarray, tree: cKDTree, radius_cap: float) -> np.ndarray:
+def _delone_candidate_rows(pts: np.ndarray, tree, radius_cap: float) -> np.ndarray:
     """Index rows of the Delone candidates, each ascending, unique and in
     lexicographic order.
 
@@ -235,6 +236,8 @@ def _delone_candidate_rows(pts: np.ndarray, tree: cKDTree, radius_cap: float) ->
     (d+1)-subset within two cap radii of a point that has a neighbour
     within 1e-10 of the extent is a candidate too.
     """
+    from scipy.spatial import Delaunay, QhullError
+
     n, d = pts.shape
     rows = np.empty((0, d + 1), dtype=np.intp)
     if n < d + 1:
@@ -272,6 +275,8 @@ def _delone_table(eta: PointConfiguration, radius_cap: float, open_ball_mode: bo
     measured again with the scalar's expression, and the vertices are
     excluded by index.
     """
+    from scipy.spatial import cKDTree
+
     pts = eta.points
     tree = cKDTree(pts)
     rows = _delone_candidate_rows(pts, tree, radius_cap)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import AmbiguousDecomposition, DuplicatePoints, EpsilonTooLarge
 from .geometry import EPS_GEOM
 from .pointproc import (

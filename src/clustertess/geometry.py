@@ -7,10 +7,12 @@ simplices, convex hulls and extreme points (Qhull, d <= 3), and the
 face test of simplex pairs.
 
 There is one relative tolerance, EPS_GEOM. Every predicate reads it
-where its test is made, and it cannot be set per call. Circumballs,
-facet planes and the face test each have one batched implementation,
-`circumballs`, `facet_planes` and `face_relations`; `circumball` and
-`common_face_check` run them on one simplex or one pair.
+where its test is made, and it cannot be set per call. A simplex is
+degenerate exactly where `circumballs`' pivot test, relative to the
+simplex's own size, rejects it; `facet_planes` has no test of its own.
+Circumballs, facet planes and the face test each have one batched
+implementation, `circumballs`, `facet_planes` and `face_relations`;
+`circumball` and `common_face_check` run them on one simplex or one pair.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def convex_hull_vertices(cluster: Cluster) -> Cluster:
 
 def facet_planes(simplices: np.ndarray):
     """Facet planes of m simplices, an (m, d+1, d) array, d <= 3; facet
-    k omits vertex k. Returns (normals, units, offsets, ok):
+    k omits vertex k. Returns (normals, units, offsets):
 
     - normals (m, d+1, d), not normalised: 1 in d = 1, the perpendicular
       (e_y, -e_x) of the edge e from the facet's first vertex to its
@@ -232,11 +234,9 @@ def facet_planes(simplices: np.ndarray):
       its first vertex to its second and third. A normal's length is
       (d-1)! times its facet's measure.
     - units (m, d+1, d) and offsets (m, d+1): the inward halfspaces
-      units . x <= offsets, through each facet's first vertex.
-    - ok (m,): False where some normal's length is at most
-      EPS_GEOM * span**(d-1), span being 1 plus the largest coordinate
-      magnitude of the simplex: the simplex is degenerate, and its units
-      and offsets are not meaningful.
+      units . x <= offsets, through each facet's first vertex. No
+      threshold is applied; where `circumballs` rejects a simplex, they
+      are not meaningful.
 
     Lengths, offsets and orientations are dot products through
     `np.linalg.norm`'s own BLAS dot product (a stacked 1 x d @ d x 1
@@ -254,15 +254,12 @@ def facet_planes(simplices: np.ndarray):
         normals = (facets[:, :, 1] - facets[:, :, 0])[..., ::-1] * [1.0, -1.0]
     else:
         normals = np.cross(facets[:, :, 1] - facets[:, :, 0], facets[:, :, 2] - facets[:, :, 0])
-    norm = np.sqrt(_dot(normals, normals))
-    span = np.abs(s).max(axis=(1, 2)) + 1.0
-    ok = np.all(norm > (EPS_GEOM * np.float_power(span, d - 1))[:, None], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # degenerate facets run on, unused
-        units = normals / norm[..., None]
+        units = normals / _norm(normals)[..., None]
         offsets = _dot(units, facets[:, :, 0])
         # -1 where the omitted vertex lies beyond the plane
         sign = np.where(_dot(units, s) > offsets, -1.0, 1.0)
-    return normals, units * sign[..., None], offsets * sign, ok
+    return normals, units * sign[..., None], offsets * sign
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,9 +305,9 @@ def face_relations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
        COMMON_FACE on opposite sides and IMPROPER on one side; a facet
        normal not longer than atol * scale puts both on the plane.
     5. Otherwise the hulls meet in the polytope of both simplices'
-       inward facet halfspaces (`facet_planes`; a degenerate facet
-       raises DegenerateSimplex). Its vertices are the solutions of
-       every d-subset of the 2(d+1) planes whose unit normals have
+       inward facet halfspaces (`facet_planes`; a simplex `circumballs`
+       rejects raises DegenerateSimplex). Its vertices are the solutions
+       of every d-subset of the 2(d+1) planes whose unit normals have
        |det| >= SINGULAR_DET that satisfy every halfspace within atol,
        in enumeration order, each kept unless it lies within 2 atol of
        one kept before. None: DISJOINT. COMMON_FACE when they match the
@@ -342,8 +339,8 @@ def face_relations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     relation[~apart & (k == n)] = FaceRelation.COMMON_FACE.value
     undecided = ~apart & (k < n)
 
-    normals, units_x, offsets_x, ok_x = facet_planes(x)
-    _, units_y, offsets_y, ok_y = facet_planes(y)
+    normals, units_x, offsets_x = facet_planes(x)
+    _, units_y, offsets_y = facet_planes(y)
     f = np.nonzero(undecided & (k == d))[0]
     facet = x[f][shared[f]].reshape(len(f), d, d)
     normal = normals[f, np.argmin(shared[f], axis=1)]  # the facet omitting x's unshared vertex
@@ -355,8 +352,8 @@ def face_relations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     undecided[f[clear]] = False
 
     g = np.nonzero(undecided)[0]
-    if not np.all(ok_x[g] & ok_y[g]):
-        raise DegenerateSimplex("degenerate facet while building halfspaces")
+    if not (circumballs(x[g])[2].all() and circumballs(y[g])[2].all()):
+        raise DegenerateSimplex("affinely dependent vertices")
     units = np.concatenate([units_x[g], units_y[g]], axis=1)
     offsets = np.concatenate([offsets_x[g], offsets_y[g]], axis=1)
     corner, found = _halfspace_corners(units, offsets, atol[g])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BallsOverlap, TooFewPoints
 from .randomness import make_rng, poisson_count, poisson_counts
@@ -245,6 +244,8 @@ def deterministic_lattice(sites: Sequence[Sequence[float]], window: Window) -> P
 def min_pairwise_distance(points: Sequence[Sequence[float]]) -> float:
     """`pdist(points).min()` without the O(n^2) array: the pairs near the
     nearest-neighbour minimum are measured with pdist's formula."""
+    from scipy.spatial import cKDTree
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) < 2:
         raise TooFewPoints("need at least two points for a pairwise distance")
@@ -272,6 +273,8 @@ def barycentre_shift(
         raise BallsOverlap(
             f"2*epsilon = {2 * epsilon} reaches the minimal site spacing"
         )
+    from scipy.spatial import cKDTree
+
     out = site_arr.copy()
     if eta.n_atoms:
         tree = cKDTree(site_arr)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .clusterprops import ClusterProperty, extract_clusters
 from .cutproject import Chain, decompose_length
@@ -74,6 +73,8 @@ def _pool_bins(observed: List[float], expected: List[float]) -> Tuple[List[float
 
 def chi2_threshold(dof: int) -> float:
     """`chi2.ppf(1 - CHI2_SIGNIFICANCE, dof)` bit for bit, without importing scipy.stats."""
+    from scipy.special import gammaincinv
+
     return float(2.0 * gammaincinv(dof / 2, 1.0 - CHI2_SIGNIFICANCE))
 
 

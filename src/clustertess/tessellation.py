@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NonSimplicialInput, UnsupportedDimension
 from .geometry import (
@@ -78,11 +77,10 @@ def check_face_to_face(cfg: ClusterConfiguration) -> TessellationReport:
     simplex lies strictly outside the other's circumsphere, a common
     point has its lifted weights on the shared vertices of both, so the
     two meet exactly in their shared face. A simplex is certified when
-    its facet planes are sound (`facet_planes`) and one kd-tree query
-    over the distinct vertices finds none but its own within r + m of
-    its circumcentre: r its circumradius and m = 4 atol D / max(r_in,
-    atol), D its longest edge and r_in its inradius, a bound on how far
-    the float circumcentre and the tolerant face test stray.
+    one kd-tree query over the distinct vertices finds none but its own
+    within r + m of its circumcentre: r its circumradius and m = 4 atol
+    D / max(r_in, atol), D its longest edge and r_in its inradius, a
+    bound on how far the float circumcentre and the face test stray.
 
     A pair of certified simplices meets properly, unless it shares fewer
     than d vertices and d of the two simplices' unit facet normals have
@@ -161,8 +159,10 @@ def _certified_pairs(verts, centers, radii, atol: float, i: np.ndarray, j: np.nd
     """Per pair (verts[i[p]], verts[j[p]]) of simplices, d <= 3, with
     their circumballs: whether the certificate of `check_face_to_face`
     proves that it meets properly."""
+    from scipy.spatial import cKDTree
+
     m, n, d = verts.shape
-    normals, units, _, sound = facet_planes(verts)
+    normals, units, _ = facet_planes(verts)
     with np.errstate(divide="ignore", invalid="ignore"):  # subnormal edges
         volume = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))  # d! times the volume
         inradius = volume / np.linalg.norm(normals, axis=-1).sum(axis=1)
@@ -170,8 +170,7 @@ def _certified_pairs(verts, centers, radii, atol: float, i: np.ndarray, j: np.nd
     reach = radii + 4.0 * atol * longest / np.maximum(inradius, atol)
     distinct, index = np.unique(verts.reshape(-1, d), axis=0, return_inverse=True)
     index = index.reshape(m, n)
-    found = np.zeros(m, dtype=np.intp)
-    found[sound] = cKDTree(distinct).query_ball_point(centers[sound], reach[sound], return_length=True)
+    found = cKDTree(distinct).query_ball_point(centers, reach, return_length=True)
     certified = found == n  # its own vertices only
     proper = certified[i] & certified[j]
     shared = (index[i][:, :, None] == index[j][:, None]).sum(axis=(1, 2))
@@ -208,14 +207,13 @@ def hull_contains_points(cluster: Cluster, queries: np.ndarray) -> np.ndarray:
     - d = 2: the vertices ordered by angle about their centroid, and
       edge x (q - a) >= -tol * max(1, |edge|) for each edge a -> a + edge;
     - d = 3: the `facet_planes` halfspaces, offset outward by tol; a
-      flat simplex (not ok there) contains nothing.
+      flat simplex (one `circumballs` rejects) contains nothing.
 
     For d > 1 a cluster of fewer than d + 1 points contains nothing; a
     larger one in d = 3 that is not a simplex, or one in d > 3, raises
     `UnsupportedDimension`. This is the kernel of `covered_fraction` run
-    on one cluster; the
-    barycentric-coordinate route stays available to tests as an
-    independent oracle.
+    on one cluster; the barycentric-coordinate route stays available to
+    tests as an independent oracle.
     """
     return _hull_cover((cluster,), np.atleast_2d(np.asarray(queries, dtype=float)))
 
@@ -281,7 +279,9 @@ def _hull_cover(clusters, queries: np.ndarray) -> np.ndarray:
     size = float(np.abs(q).max(initial=1.0))
     inside = np.zeros(len(q), dtype=bool)
     for (d, n), members in groups.items():
-        lows, highs, test = _GROUP_TESTS[d](members, size)
+        pts = np.array([c.points for c in members], dtype=float)
+        scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
+        lows, highs, test = _GROUP_TESTS[d](pts, scale, EPS_GEOM * scale, size)
         lows, highs = lows.T.copy(), highs.T.copy()
         first = np.searchsorted(axes[0], lows[0], side="left")
         counts = np.maximum(np.searchsorted(axes[0], highs[0], side="right") - first, 0)
@@ -299,11 +299,9 @@ def _hull_cover(clusters, queries: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _interval_group(members, size: float):
+def _interval_group(pts, scale, tol, size: float):
     """d = 1: the box is the test itself."""
-    pts = np.array([c.points for c in members], dtype=float)[:, :, 0]
-    tol = EPS_GEOM * np.maximum(1.0, np.abs(pts).max(axis=1))
-    lo, hi = pts.min(axis=1) - tol, pts.max(axis=1) + tol
+    lo, hi = pts.min(axis=(1, 2)) - tol, pts.max(axis=(1, 2)) + tol
 
     def test(c, q):
         return (q[:, 0] >= lo[c]) & (q[:, 0] <= hi[c])
@@ -311,11 +309,8 @@ def _interval_group(members, size: float):
     return lo[:, None], hi[:, None], test
 
 
-def _polygon_group(members, size: float):
+def _polygon_group(pts, scale, tol, size: float):
     """d = 2, polygons of one vertex count."""
-    pts = np.array([c.points for c in members], dtype=float)
-    scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
-    tol = EPS_GEOM * scale
     centroid = pts.mean(axis=1)
     angles = np.arctan2(pts[:, :, 1] - centroid[:, 1:], pts[:, :, 0] - centroid[:, :1])
     ring = np.take_along_axis(pts, np.argsort(angles, axis=1, kind="stable")[..., None], axis=1)
@@ -334,13 +329,10 @@ def _polygon_group(members, size: float):
     return pts.min(axis=1) - reach[:, None], pts.max(axis=1) + reach[:, None], test
 
 
-def _simplex_group(members, size: float):
+def _simplex_group(pts, scale, tol, size: float):
     """d = 3, simplices; a flat one contains nothing and gets an empty box."""
-    pts = np.array([c.points for c in members], dtype=float)
-    scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
-    tol = EPS_GEOM * scale
     centroid = pts.mean(axis=1)
-    _, units, offsets, ok = facet_planes(pts)
+    _, units, offsets = facet_planes(pts)
     with np.errstate(invalid="ignore"):  # flat simplices, boxed empty below
         # a near-flat facet's plane can miss its other vertices by more
         # than rounding: measure at the lowest of them
@@ -349,7 +341,7 @@ def _simplex_group(members, size: float):
         slack = tol[:, None] + offsets - low
     reach = _reach(pts, centroid, depth, slack, np.maximum(size, scale))
     lows, highs = pts.min(axis=1) - reach[:, None], pts.max(axis=1) + reach[:, None]
-    lows[~ok], highs[~ok] = np.inf, -np.inf
+    lows[~circumballs(pts)[2]] = np.inf  # flat: the box starts past every query
 
     def test(c, q):
         # the pairs of one cluster are consecutive; each run is tested as

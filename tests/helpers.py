@@ -125,8 +125,8 @@ def circumball_scalar(simplex, eps=EPS_GEOM):
 def facet_halfspaces_scalar(pts, eps=EPS_GEOM):
     """Inward halfspaces (normal, unit normal, offset) of a simplex, one
     per facet; facet k omits vertex k, and its normal is not normalised.
-    Raises DegenerateSimplex where a normal's length is at most eps *
-    span**(d-1)."""
+    Raises DegenerateSimplex where `circumball_scalar` does."""
+    circumball_scalar(Cluster(pts), eps)
     d = len(pts[0])
     arr = np.asarray(pts, dtype=float)
     halfspaces = []
@@ -140,11 +140,7 @@ def facet_halfspaces_scalar(pts, eps=EPS_GEOM):
             normal = np.array([edge[1], -edge[0]])
         else:
             normal = np.cross(facet[1] - facet[0], facet[2] - facet[0])
-        norm = float(np.linalg.norm(normal))
-        span = float(np.abs(arr).max()) + 1.0
-        if norm <= eps * span ** (d - 1):
-            raise DegenerateSimplex("degenerate facet while building halfspaces")
-        unit = normal / norm
+        unit = normal / float(np.linalg.norm(normal))
         offset = float(unit @ facet[0])
         if float(unit @ omitted) > offset:
             unit, offset = -unit, -offset
@@ -249,7 +245,7 @@ def common_face_check_scalar(x, y):
     if len(shared) == d + 1:
         return FaceRelation.COMMON_FACE  # identical simplices
 
-    normals, units, offsets, ok = facet_planes(np.stack([ax, ay]))
+    normals, units, offsets = facet_planes(np.stack([ax, ay]))
     if len(shared) == d:
         # shared facet: face-to-face iff the two leftover vertices lie
         # strictly on opposite sides of the facet hyperplane
@@ -274,8 +270,8 @@ def common_face_check_scalar(x, y):
             return FaceRelation.IMPROPER
         # fall through to the general test in the degenerate case
 
-    if not ok.all():
-        raise DegenerateSimplex("degenerate facet while building halfspaces")
+    circumball_scalar(x)  # raises DegenerateSimplex on a degenerate simplex
+    circumball_scalar(y)
     vertices = _intersection_vertices(units.reshape(-1, d), offsets.ravel(), d, atol)
     if not vertices:
         return FaceRelation.DISJOINT

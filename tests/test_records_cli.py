@@ -144,6 +144,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(*intensity, "--window-sizes", "1,x", "--reps", "2") == 1
     # stats takes no buffer margin: no statistic depends on one
     assert run_cli("stats", "--test", "poisson-count", "--lambda", "5", "--window", "0,0,1,1", "--buffer-margin", "0.1") == 1
+    # invalid option values: sample, chain and stats read no records
+    assert run_cli(*intensity, "--window-sizes", "1,2", "--reps", "2") == 1
+    assert run_cli(*intensity, "--reps", "1") == 1
+    assert run_cli(*intensity, "--dimension", "0", "--reps", "2") == 1
+    assert run_cli("stats", "--test", "poisson-count", "--lambda", "5", "--window", "0,0,1,1", "--reps", "10") == 1
+    assert run_cli("stats", "--test", "occupation", "--c", "1", "--sites", "10", "--reps", "1") == 1
+    assert run_cli("sample", "--process", "poisson", "--lambda", "-5", "--window", "0,0,1,1") == 1
+    assert run_cli("chain", "--variant", "thinned", "--c", "-1", "--range", "0", "10") == 1
+    # runtime errors: a shift radius too large for the lattice
+    assert run_cli("chain", "--variant", "shifted", "--epsilon", "10", "--range", "0", "10") == 2  # EpsilonTooLarge
+    assert run_cli("sample", "--process", "barycentre", "--lambda", "5", "--epsilon", "0.9", "--window", "0,0,10,10") == 2  # BallsOverlap
     # runtime error: corrupt records
     bad = tmp_path / "bad.ndjson"
     bad.write_text('{"replication": 0}\n')

@@ -164,9 +164,19 @@ def test_chi2_threshold_equals_scipy_stats_quantile():
         assert chi2_threshold(dof) == float(chi2.ppf(1.0 - CHI2_SIGNIFICANCE, dof)), dof
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def _loaded_by_cli_import(*modules):
+    """Which of the modules a fresh interpreter holds after importing clustertess.cli."""
     src = os.path.dirname(os.path.dirname(clustertess.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, clustertess.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, clustertess.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    assert _loaded_by_cli_import("scipy.stats") == "[]"
+
+
+def test_cli_import_leaves_scipy_spatial_and_special_out():
+    # each is imported where it is used, so `sample` and `chain` never load them
+    assert _loaded_by_cli_import("scipy.spatial", "scipy.special") == "[]"
