@@ -3,16 +3,16 @@
 A cluster property couples a membership predicate on (cluster,
 configuration) pairs with an enumerator that produces every candidate
 cluster the property could admit for a given configuration. Extraction
-filters the candidates through the predicate and flags each surviving
-cluster as boundary-uncertain when unseen points outside the window
-could have changed the verdict.
+keeps the candidates the predicate admits and flags each as
+boundary-uncertain when unseen points outside the window could have
+changed the verdict.
 
-The built-in properties decide a whole configuration at once. Each
-builds one table per configuration, {candidate: (member, uncertain)},
-from batched numpy and kd-tree work over index rows into the points,
-and its callables read that table. A cluster that is not a candidate,
-in particular one outside the support, reads non-member. The Delone
-table also holds each candidate's circumball, its certainty ball.
+The built-in properties decide a whole configuration at once: each
+`table` returns all its candidates as one array-backed
+ClusterConfiguration in canonical order, with a member mask, from
+batched numpy and kd-tree work over index rows into the points.
+`_predicate_table` turns a property written as scalar predicates into
+the same table. No `Cluster` object is built until `.clusters` is read.
 
 Two modes exist: clusters *in* a configuration are subsets of its
 support (Delone simplices, hard-core singletons), clusters *for* a
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -50,30 +50,40 @@ class ClusterProperty:
     appears among the enumerated candidates, and in IN_CONFIGURATION
     mode every candidate is a subset of the support.
 
-    `certainty_ball`, when present, returns the ball whose containment
-    in the window is equivalent to the cluster being boundary-certain;
-    the intensity scan uses it for border correction. The Delone
-    property reads it from its table, so there it is defined for
-    candidates only.
+    `table(eta)`, which the built-in properties give alone, returns
+    (candidates, member): the candidates as one ClusterConfiguration in
+    canonical order, flagged, with certainty radii where the property
+    has them, and a bool mask of the members. Without it, the scalar
+    callables decide and flag; `certainty_ball`, when present, returns
+    the ball whose containment in the window is equivalent to the
+    cluster being boundary-certain. Its radius is the certainty radius,
+    which the intensity scan uses for border correction.
     """
 
     name: str
     mode: PropertyMode
-    enumerate_candidates: Callable[[PointConfiguration], Iterable[Cluster]]
-    membership: Callable[[Cluster, PointConfiguration], bool]
-    boundary_uncertain: Callable[[Cluster, PointConfiguration], bool]
+    enumerate_candidates: Optional[Callable[[PointConfiguration], Iterable[Cluster]]]
+    membership: Optional[Callable[[Cluster, PointConfiguration], bool]]
+    boundary_uncertain: Optional[Callable[[Cluster, PointConfiguration], bool]]
     certainty_ball: Optional[Callable[[Cluster, PointConfiguration], Optional[Ball]]] = None
+    table: Optional[Callable[[PointConfiguration], Tuple["ClusterConfiguration", np.ndarray]]] = None
 
 
 class ClusterConfiguration:
     """Finite, canonically ordered collection of clusters with flags,
-    built for a point configuration in `source_window`.
+    built for a point configuration in `source_window`, which gives
+    validation the window and the dimension d.
 
-    It is all that validation needs: the window, and with it the
-    dimension d, come from `source_window`.
+    It is held in read-only arrays: `points` (N, d), the vertices of
+    every cluster in cluster order, each cluster's in construction
+    order; `offsets` (m+1,), cluster k being points[offsets[k]:
+    offsets[k+1]]; the flags `uncertain` (m,), a tuple as
+    `boundary_uncertain`; and `certainty_radii` (m,), or None. The
+    constructor takes `Cluster` objects in the window's dimension and
+    keeps their order; otherwise `.clusters` builds them when first read.
     """
 
-    __slots__ = ("clusters", "boundary_uncertain", "source_window")
+    __slots__ = ("points", "offsets", "uncertain", "certainty_radii", "source_window", "_clusters")
 
     def __init__(
         self,
@@ -82,25 +92,56 @@ class ClusterConfiguration:
         source_window: Window,
     ):
         cl = tuple(clusters)
-        flags = tuple(bool(f) for f in boundary_uncertain)
+        flags = [bool(f) for f in boundary_uncertain]
         if len(cl) != len(flags):
             raise ValueError("one boundary flag per cluster required")
         if len(set(cl)) != len(cl):
             raise ValueError("duplicate clusters in configuration")
-        self.clusters = cl
-        self.boundary_uncertain = flags
-        self.source_window = source_window
+        d = source_window.dimension
+        if any(c.dimension != d for c in cl):
+            raise ValueError(f"every cluster must have the window's dimension {d}")
+        points = np.array([p for c in cl for p in c.points], dtype=float).reshape(-1, d)
+        offsets = np.cumsum([0] + [len(c) for c in cl])
+        self._set(points, offsets, np.array(flags, dtype=bool), None, source_window, cl)
+
+    @classmethod
+    def _of(cls, points, offsets, uncertain, certainty_radii, source_window, clusters=None) -> "ClusterConfiguration":
+        """These arrays, unchecked: distinct clusters in canonical order, maybe built."""
+        return cls.__new__(cls)._set(points, offsets, uncertain, certainty_radii, source_window, clusters)
+
+    def _set(self, points, offsets, uncertain, certainty_radii, source_window, clusters) -> "ClusterConfiguration":
+        for arr in (points, offsets, uncertain, certainty_radii):
+            if arr is not None:
+                arr.setflags(write=False)
+        self.points, self.offsets, self.uncertain = points, offsets, uncertain
+        self.certainty_radii, self.source_window, self._clusters = certainty_radii, source_window, clusters
+        return self
+
+    @property
+    def clusters(self) -> Tuple[Cluster, ...]:
+        if self._clusters is None:
+            rows, ends = self.points.tolist(), self.offsets.tolist()
+            self._clusters = tuple(Cluster(rows[a:b]) for a, b in zip(ends, ends[1:]))
+        return self._clusters
+
+    @property
+    def boundary_uncertain(self) -> Tuple[bool, ...]:
+        return tuple(self.uncertain.tolist())
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return len(self.offsets) - 1
 
-    def __iter__(self):
-        return iter(self.clusters)
+    def _select(self, keep: np.ndarray) -> "ClusterConfiguration":
+        """The clusters where keep holds, in order, with their flags and radii."""
+        sizes = np.diff(self.offsets)
+        radii = None if self.certainty_radii is None else self.certainty_radii[keep]
+        points, offsets = self.points[np.repeat(keep, sizes)], np.concatenate([[0], np.cumsum(sizes[keep])])
+        clusters = None if self._clusters is None else tuple(itertools.compress(self._clusters, keep))
+        return ClusterConfiguration._of(points, offsets, self.uncertain[keep], radii, self.source_window, clusters)
 
     def certain(self) -> "ClusterConfiguration":
         """The boundary-certain clusters, in order, for the same window."""
-        kept = [c for c, u in zip(self.clusters, self.boundary_uncertain) if not u]
-        return ClusterConfiguration(kept, [False] * len(kept), self.source_window)
+        return self._select(~self.uncertain)
 
     def __eq__(self, other) -> bool:
         return (
@@ -111,74 +152,37 @@ class ClusterConfiguration:
         )
 
     def __repr__(self) -> str:
-        n_unc = sum(self.boundary_uncertain)
-        return f"ClusterConfiguration({len(self.clusters)} clusters, {n_unc} uncertain)"
+        return f"ClusterConfiguration({len(self)} clusters, {int(self.uncertain.sum())} uncertain)"
 
 
 def extract_clusters(prop: ClusterProperty, eta: PointConfiguration) -> ClusterConfiguration:
-    """All clusters the property admits, canonically sorted and flagged."""
-    in_configuration = prop.mode is PropertyMode.IN_CONFIGURATION
-    if in_configuration and not eta.is_simple:
+    """All clusters the property admits, in canonical order and flagged."""
+    if prop.mode is PropertyMode.IN_CONFIGURATION and not eta.is_simple:
         raise NotSimple("clusters in a configuration require a simple configuration")
-    support_set = set(map(tuple, eta.points))
-    seen = set()
-    accepted = []
-    for cand in prop.enumerate_candidates(eta):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if in_configuration and not all(p in support_set for p in cand.points):
-            continue
-        if prop.membership(cand, eta):
-            accepted.append(cand)
-    accepted.sort()
-    flags = [prop.boundary_uncertain(c, eta) for c in accepted]
-    return ClusterConfiguration(accepted, flags, eta.window)
+    candidates, member = prop.table(eta) if prop.table is not None else _predicate_table(prop, eta)
+    return candidates._select(member)
 
 
-# ---------------------------------------------------------------------------
-# per-configuration tables
+def _predicate_table(prop: ClusterProperty, eta: PointConfiguration):
+    """The table of a property given as scalar callables: its distinct admitted candidates
+    (in IN_CONFIGURATION mode, those in the support), sorted, flagged, with any radii; all members."""
+    support = set(map(tuple, eta.points))
+    accepted = sorted(
+        c
+        for c in dict.fromkeys(prop.enumerate_candidates(eta))
+        if (prop.mode is PropertyMode.FOR_CONFIGURATION or support.issuperset(c.points)) and prop.membership(c, eta)
+    )
+    cfg = ClusterConfiguration(accepted, [prop.boundary_uncertain(c, eta) for c in accepted], eta.window)
+    if prop.certainty_ball is not None:
+        radii = np.array([prop.certainty_ball(c, eta).radius for c in accepted], dtype=float)
+        cfg = ClusterConfiguration._of(cfg.points, cfg.offsets, cfg.uncertain, radii, eta.window, cfg.clusters)
+    return cfg, np.ones(len(accepted), dtype=bool)
+
 
 # kd-tree queries reach this far past a bound, so that their rounding drops
 # no point the exact recheck admits (squares below 1e-300 lose precision)
 _REACH = 1.0 + 1e-12
 _REACH_FLOOR = 1e-150
-
-
-def _memo(build: Callable) -> Callable[[PointConfiguration], dict]:
-    """`build(eta)`, a dict {candidate: (member, uncertain, ...)} in
-    enumeration order, built once for the configuration last asked
-    about, matched by identity (configurations are immutable); nothing
-    outlives the returned function."""
-    last = [None, {}]
-
-    def table_of(eta: PointConfiguration) -> dict:
-        if eta is not last[0]:
-            last[:] = eta, build(eta)
-        return last[1]
-
-    return table_of
-
-
-def _table_property(name: str, mode: PropertyMode, table_of: Callable, certainty_ball=None) -> ClusterProperty:
-    """A property whose callables read the table `table_of(eta)` (`_memo`)."""
-
-    def enumerate_candidates(eta: PointConfiguration):
-        return list(table_of(eta))
-
-    def membership(cluster: Cluster, eta: PointConfiguration) -> bool:
-        return table_of(eta).get(cluster, (False,))[0]
-
-    def boundary_uncertain(cluster: Cluster, eta: PointConfiguration) -> bool:
-        return table_of(eta)[cluster][1]
-
-    return ClusterProperty(name, mode, enumerate_candidates, membership, boundary_uncertain, certainty_ball)
-
-
-def _table(pts: np.ndarray, rows: np.ndarray, *columns: np.ndarray) -> dict:
-    """{Cluster of pts[row]: (its entry of each column)}, one entry per
-    index row; the columns start with member and uncertain."""
-    return dict(zip(map(Cluster, pts[rows].tolist()), zip(*(c.tolist() for c in columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +196,14 @@ def hardcore_property(r: float) -> ClusterProperty:
     One kd-tree pair query decides the configuration: pairs within a
     padded r are measured again as the scalar test measures them; a
     pair closer than r, but not at distance zero, blocks both points.
-    Singletons within r of the window boundary are uncertain.
+    Singletons within r of the window boundary are uncertain; r is
+    each one's certainty radius. The support is lexsorted, so the
+    singletons are in canonical order as they come.
     """
     if r <= 0.0:
         raise ValueError(f"hard-core radius must be positive, got {r}")
 
-    def build(eta: PointConfiguration) -> dict:
+    def table(eta: PointConfiguration):
         from scipy.spatial import cKDTree
 
         pts = eta.points
@@ -207,12 +213,10 @@ def hardcore_property(r: float) -> ClusterProperty:
         member = np.ones(len(pts), dtype=bool)
         member[i[close]] = member[j[close]] = False
         uncertain = eta.window.boundary_distance(pts) < r
-        return _table(pts, np.arange(len(pts))[:, None], member, uncertain)
+        radii = np.full(len(pts), float(r))
+        return ClusterConfiguration._of(pts, np.arange(len(pts) + 1), uncertain, radii, eta.window), member
 
-    def certainty_ball(cluster: Cluster, eta: PointConfiguration) -> Ball:
-        return Ball(cluster.points[0], r)
-
-    return _table_property(f"hardcore(r={r})", PropertyMode.IN_CONFIGURATION, _memo(build), certainty_ball)
+    return ClusterProperty(f"hardcore(r={r})", PropertyMode.IN_CONFIGURATION, None, None, None, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +312,23 @@ def delone_property(radius_cap: float, open_ball_mode: bool = False) -> ClusterP
 
     Candidates grow out of the Delaunay simplices of the configuration
     (scipy's Qhull; see `_delone_candidate_rows`), and `_delone_table`
-    decides those under the cap all at once. A cluster is
-    boundary-uncertain when its circumball leaves the window. The table
-    keeps each candidate's circumball next to its verdicts: it is the
-    certainty ball.
+    decides those under the cap all at once. Their index rows are
+    ascending and in lexicographic order, and the support is lexsorted,
+    so the candidates are in canonical order as they come. A cluster is
+    boundary-uncertain when its circumball leaves the window; its
+    circumradius is its certainty radius.
     """
     if radius_cap <= 0.0:
         raise ValueError(f"radius cap must be positive, got {radius_cap}")
 
-    def build(eta: PointConfiguration) -> dict:
+    def table(eta: PointConfiguration):
         rows, centers, radii, member = _delone_table(eta, radius_cap, open_ball_mode)
         uncertain = ~eta.window.contains_ball(centers, radii)
-        return _table(eta.points, rows, member, uncertain, centers, radii)
-
-    table_of = _memo(build)
-
-    def certainty_ball(cluster: Cluster, eta: PointConfiguration) -> Ball:
-        _, _, center, radius = table_of(eta)[cluster]
-        return Ball(center, radius)
+        points, offsets = eta.points[rows].reshape(-1, eta.dimension), np.arange(0, rows.size + 1, rows.shape[1])
+        return ClusterConfiguration._of(points, offsets, uncertain, radii, eta.window), member
 
     name = f"delone(R={radius_cap})" + (" [open ball]" if open_ball_mode else "")
-    return _table_property(name, PropertyMode.IN_CONFIGURATION, table_of, certainty_ball)
+    return ClusterProperty(name, PropertyMode.IN_CONFIGURATION, None, None, None, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +399,17 @@ def voronoi_property(window: Window, open_ball_mode: bool = False) -> ClusterPro
     discrete polytope. A cell is boundary-certain when, for every
     vertex, the ball around it reaching back to the center fits inside
     the window; only then is no unseen outside point able to displace
-    that vertex.
+    that vertex. The cells are sorted into canonical order; they have no
+    certainty radius.
     """
     if window.dimension != 2:
         raise UnsupportedDimension("the Voronoi property is implemented for d = 2 only")
     cap = 2.0 * window.diameter()
 
-    def build(eta: PointConfiguration) -> dict:
+    def table(eta: PointConfiguration):
         cells = _voronoi_cells(eta, cap, open_ball_mode)
-        return {cell: (is_discrete_polytope(cell), not certain) for cell, (_, certain) in cells.items()}
+        ordered = sorted(cells)
+        candidates = ClusterConfiguration(ordered, [not cells[c][1] for c in ordered], eta.window)
+        return candidates, np.array([is_discrete_polytope(c) for c in ordered], dtype=bool)
 
-    return _table_property("voronoi", PropertyMode.FOR_CONFIGURATION, _memo(build))
+    return ClusterProperty("voronoi", PropertyMode.FOR_CONFIGURATION, None, None, None, table=table)

@@ -40,17 +40,21 @@ class Window:
         if len(self.low) != len(self.high) or not self.low:
             raise ValueError("window corners must share a positive dimension")
         low, high = np.array(self.low), np.array(self.high)
-        extent = high - low
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite result is refused below
+            extent = high - low
+            volume = float(np.prod(extent))
         # negated, so that NaN fails too
         if not extent.min() > 0.0:
             raise ValueError(f"window must satisfy low < high, got {self.low} .. {self.high}")
+        if not np.isfinite([*self.low, *self.high, volume]).all():
+            raise ValueError(f"window corners and volume must be finite, got {self.low} .. {self.high}")
         if not (self.buffer_margin >= 0.0 and 2.0 * self.buffer_margin < extent.min()):
             raise ValueError("buffer margin must be nonnegative and below half the smallest extent")
         # derived once; plain attributes, so not part of eq, hash or repr
         for name, arr in (("_low", low), ("_high", high), ("_extent", extent)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_volume", float(np.prod(extent)))
+        object.__setattr__(self, "_volume", volume)
 
     @property
     def dimension(self) -> int:

@@ -93,33 +93,32 @@ def make_record(
     record = {
         "replication": int(replication),
         "window": window_to_dict(eta.window),
-        "points": [[float(c) for c in p] for p in eta.points],
+        "points": eta.points.tolist(),
         "multiplicities": [int(m) for m in eta.multiplicities],
         "clusters": None,
         "report": None,
     }
     if clusters is not None:
+        rows, ends = clusters.points.tolist(), clusters.offsets.tolist()
         record["clusters"] = [
-            {
-                "points": [[float(c) for c in p] for p in cl.points],
-                "boundary_uncertain": bool(u),
-            }
-            for cl, u in zip(clusters.clusters, clusters.boundary_uncertain)
+            {"points": rows[a:b], "boundary_uncertain": u}
+            for a, b, u in zip(ends, ends[1:], clusters.uncertain.tolist())
         ]
     if report is not None:
         record["report"] = report_to_dict(report)
     return record
 
 
-_NUMBER_TYPES = {int, float}
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _is_number(value) -> bool:
-    return type(value) in _NUMBER_TYPES
+    """A float, or an int that converts to one without OverflowError."""
+    return type(value) is float or (type(value) is int and abs(value) <= _FLOAT_MAX)
 
 
 def _is_coordinate_list(value) -> bool:
-    return type(value) is list and set(map(type, value)) <= _NUMBER_TYPES
+    return type(value) is list and all(map(_is_number, value))
 
 
 def _is_point_list(value) -> bool:
@@ -128,7 +127,8 @@ def _is_point_list(value) -> bool:
 
 
 def _is_integer_list(value) -> bool:
-    return type(value) is list and set(map(type, value)) <= {int}
+    """A list of ints that each fit an int64."""
+    return type(value) is list and all(type(v) is int and -(2**63) <= v < 2**63 for v in value)
 
 
 def _is_flag(value) -> bool:

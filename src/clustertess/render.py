@@ -63,7 +63,7 @@ def render_record(
         if clusters is not None:
             circles = [None] * len(clusters)
             if show_circumcircles and d == 2:
-                circles = _circumcircles(clusters.clusters)
+                circles = _circumcircles(clusters)
             for cl, uncertain, circle in zip(clusters.clusters, clusters.boundary_uncertain, circles):
                 _draw_cluster(canvas, wm, d, cl, uncertain, circle)
         _draw_atoms(canvas, wm, d, eta)
@@ -75,10 +75,9 @@ def render_record(
         _frame(canvas, wm, d)
         _draw_atoms(canvas, wm, d, eta)
         if clusters is not None:
-            for cl in clusters.clusters:
-                for p in cl.points:
-                    cx, cy = _locate(wm, d, p)
-                    canvas.circle(cx, cy, radius / 2.0 * wm.scale, stroke="steelblue")
+            for p in clusters.points.tolist():
+                cx, cy = _locate(wm, d, p)
+                canvas.circle(cx, cy, radius / 2.0 * wm.scale, stroke="steelblue")
         return canvas.to_string()
 
     if style == "strip":
@@ -129,19 +128,16 @@ def _draw_atoms(canvas: SvgCanvas, wm: _WorldMap, d: int, eta) -> None:
         canvas.circle(cx, cy, _DOT, stroke="none", fill="black")
 
 
-def _circumcircles(clusters) -> list:
-    """Per cluster, the (center, radius) of its circumball if it has
-    three points, else None, from one `circumballs` call. A three-point
-    cluster that is not a planar triangle raises DegenerateSimplex."""
-    triangles = [k for k, c in enumerate(clusters) if len(c) == 3]
-    if any(clusters[k].dimension != 2 for k in triangles):
-        raise DegenerateSimplex("a circumcircle needs a triangle in the plane")
-    simplices = np.array([clusters[k].points for k in triangles], dtype=float).reshape(-1, 3, 2)
-    centers, radii, ok = circumballs(simplices)
+def _circumcircles(cfg) -> list:
+    """Per cluster of a planar configuration, the (center, radius) of
+    its circumball if it has three points, else None, from one
+    `circumballs` call. A degenerate triangle raises DegenerateSimplex."""
+    triangles = np.flatnonzero(np.diff(cfg.offsets) == 3)
+    centers, radii, ok = circumballs(cfg.points[cfg.offsets[triangles, None] + np.arange(3)])
     if not ok.all():
         raise DegenerateSimplex("affinely dependent vertices")
-    circles = [None] * len(clusters)
-    for k, center, radius in zip(triangles, centers.tolist(), radii.tolist()):
+    circles = [None] * len(cfg)
+    for k, center, radius in zip(triangles.tolist(), centers.tolist(), radii.tolist()):
         circles[k] = (center, radius)
     return circles
 

@@ -163,8 +163,7 @@ def occupation_test(c: float, n_sites: int, n_reps: int, seed: int) -> TestRepor
 
 def _border_corrected_rate(radii: np.ndarray, window: Window) -> float:
     """Cluster intensity estimate for one replication, from the
-    certainty-ball radii of its boundary-certain clusters, in cluster
-    order.
+    certainty radii of its boundary-certain clusters, in cluster order.
 
     Each cluster is weighted by the reciprocal volume of the window
     eroded by its radius (minus sampling with Horvitz-Thompson weights),
@@ -188,8 +187,8 @@ def cluster_intensity_scan(
     """Stationarity proxy for the zero-or-infinity law.
 
     Estimates the boundary-corrected certain-cluster intensity on
-    windows of several sizes (`_border_corrected_rate`; without a
-    certainty ball, the raw certain count per volume); the per-volume
+    windows of several sizes (`_border_corrected_rate`; without
+    certainty radii, the raw certain count per volume); the per-volume
     rates must agree pairwise within SIGMA_BAND combined standard
     errors. An unsatisfiable property passes with identically zero
     rates (the "or none" branch).
@@ -206,11 +205,10 @@ def cluster_intensity_scan(
         for rep in range(n_reps):
             eta = sample_poisson_homogeneous(lam, window, mix_seed(seed, wi * n_reps + rep))
             certain = extract_clusters(prop, eta).certain()
-            if prop.certainty_ball is None:
+            if certain.certainty_radii is None:
                 rates.append(len(certain) / window.volume())
             else:
-                radii = [prop.certainty_ball(c, eta).radius for c in certain]
-                rates.append(_border_corrected_rate(np.array(radii, dtype=float), window))
+                rates.append(_border_corrected_rate(certain.certainty_radii, window))
         means.append(float(np.mean(rates)))
         ses.append(float(np.std(rates, ddof=1) / math.sqrt(n_reps)))
     worst = 0.0

@@ -57,9 +57,9 @@ def _circumscribed(cfg: ClusterConfiguration):
     """The clusters as an (m, d+1, d) array with their circumcentres and
     circumradii, or None unless `check_simplicial` holds."""
     d = cfg.source_window.dimension
-    if not all(c.dimension == d and len(c) == d + 1 for c in cfg.clusters):
+    if not (np.diff(cfg.offsets) == d + 1).all():
         return None
-    simplices = np.array([c.points for c in cfg.clusters], dtype=float).reshape(-1, d + 1, d)
+    simplices = cfg.points.reshape(-1, d + 1, d)
     centers, radii, ok = circumballs(simplices)
     return (simplices, centers, radii) if ok.all() else None
 
@@ -215,7 +215,7 @@ def hull_contains_points(cluster: Cluster, queries: np.ndarray) -> np.ndarray:
     on one cluster; the barycentric-coordinate route stays available to
     tests as an independent oracle.
     """
-    return _hull_cover((cluster,), np.atleast_2d(np.asarray(queries, dtype=float)))
+    return _hull_cover(cluster.as_array(), np.array([0, len(cluster)]), np.atleast_2d(np.asarray(queries, dtype=float)))
 
 
 def covered_fraction(cfg: ClusterConfiguration, n_samples: int, seed: int) -> Tuple[float, float]:
@@ -237,7 +237,7 @@ def covered_fraction(cfg: ClusterConfiguration, n_samples: int, seed: int) -> Tu
     region = window.erode(window.buffer_margin) if window.buffer_margin > 0 else window
     rng = make_rng(seed)
     samples = np.asarray(region.low) + rng.random((n_samples, region.dimension)) * region.extent()
-    covered = _hull_cover(cfg.clusters, samples)
+    covered = _hull_cover(cfg.points, cfg.offsets, samples)
     fraction = float(covered.mean())
     se = float(np.sqrt(fraction * (1.0 - fraction) / n_samples))
     return fraction, se
@@ -251,11 +251,12 @@ _COVER_BLOCK = 1 << 18
 _ROUNDING = 2.0**-40
 
 
-def _hull_cover(clusters, queries: np.ndarray) -> np.ndarray:
+def _hull_cover(points: np.ndarray, offsets: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Per query point, whether it lies in the hull of some cluster, by
-    the tests of `hull_contains_points`.
+    the tests of `hull_contains_points`; cluster k is
+    points[offsets[k]:offsets[k+1]].
 
-    The clusters are grouped by dimension and point count. Each group
+    The clusters are grouped by point count. Each group
     gives every cluster a box, the box of its vertices padded by the
     reach of its tolerance (see `_reach`); the queries are sorted on x,
     each box takes its x range by `searchsorted` and the other axes
@@ -263,23 +264,20 @@ def _hull_cover(clusters, queries: np.ndarray) -> np.ndarray:
     blocks of clusters whose swept pairs times the point count stay
     within _COVER_BLOCK.
     """
-    groups = {}
-    for cluster in clusters:
-        d, n = cluster.dimension, len(cluster)
-        if d > 1 and n < d + 1:
-            continue  # measure-zero hull
-        if d == 3 and n != 4:
-            raise UnsupportedDimension("3D hull membership is implemented for simplices only")
-        if d > 3:
-            raise UnsupportedDimension(f"hull membership not implemented for d = {d}")
-        groups.setdefault((d, n), []).append(cluster)
+    d, sizes = points.shape[1], np.diff(offsets)
+    # fewer than d + 1 points span a measure-zero hull
+    solid = np.unique(sizes[(sizes > d) | (d == 1)])
+    if d == 3 and (solid != 4).any():
+        raise UnsupportedDimension("3D hull membership is implemented for simplices only")
+    if d > 3 and len(solid):
+        raise UnsupportedDimension(f"hull membership not implemented for d = {d}")
     order = np.argsort(queries[:, 0], kind="stable")
     q = queries[order]
     axes = q.T.copy()  # one contiguous column per axis
     size = float(np.abs(q).max(initial=1.0))
     inside = np.zeros(len(q), dtype=bool)
-    for (d, n), members in groups.items():
-        pts = np.array([c.points for c in members], dtype=float)
+    for n in solid.tolist():
+        pts = points[offsets[:-1][sizes == n, None] + np.arange(n)]
         scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
         lows, highs, test = _GROUP_TESTS[d](pts, scale, EPS_GEOM * scale, size)
         lows, highs = lows.T.copy(), highs.T.copy()

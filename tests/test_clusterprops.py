@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,10 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustertess import (
+    Ball,
     Cluster,
     ClusterConfiguration,
+    ClusterProperty,
     NotSimple,
     PointConfiguration,
+    PropertyMode,
     UnsupportedDimension,
     Window,
     circumball,
@@ -90,7 +94,39 @@ def test_hardcore_table_matches_scalar_predicate(points, r):
     assert list(cfg.clusters) == expected
     assert cfg.boundary_uncertain == tuple(window.boundary_distance(c.points[0]) < r for c in expected)
     # a singleton outside the support is no candidate, so no member
-    assert not prop.membership(Cluster([(2.0, 2.0)]), eta)
+    assert Cluster([(2.0, 2.0)]) not in cfg.clusters
+
+
+def _scalar_hardcore(r):
+    """Hard-core written as scalar predicates: its enumerator yields every
+    singleton twice, first in reverse order, and one off the support."""
+
+    def enumerate_candidates(eta):
+        singletons = [Cluster([p]) for p in map(tuple, eta.points)]
+        return singletons[::-1] + [Cluster([(2.0, 2.0)])] + singletons
+
+    return ClusterProperty(
+        f"scalar-hardcore(r={r})",
+        PropertyMode.IN_CONFIGURATION,
+        enumerate_candidates,
+        lambda c, eta: hardcore_isolated(c.points[0], eta, r),
+        lambda c, eta: bool(eta.window.boundary_distance(c.points[0]) < r),
+        certainty_ball=lambda c, eta: Ball(c.points[0], r),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(COORDINATE, COORDINATE), max_size=12, unique=True),
+    r=st.sampled_from((0.05, 0.25, 2.0)),
+)
+def test_predicate_property_matches_builtin_table(points, r):
+    eta = config(points, Window((0.0, 0.0), (1.0, 1.0)))
+    got = extract_clusters(_scalar_hardcore(r), eta)
+    want = extract_clusters(hardcore_property(r), eta)
+    assert got == want
+    assert got.certainty_radii.tobytes() == want.certainty_radii.tobytes()
+    assert not got.certainty_radii.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +285,14 @@ def test_delone_post_hoc_recheck():
 
 
 def test_delone_boundary_rule():
-    # the flag and the certainty ball come from the scalar circumball
+    # the flag and the certainty radius come from the scalar circumball
     for rep in range(10):
         window = Window((0, 0), (1, 1))
         eta = sample_poisson_homogeneous(40.0, window, mix_seed(101, rep))
-        prop = delone_property(0.4)
-        cfg = extract_clusters(prop, eta)
-        for cluster, uncertain in zip(cfg.clusters, cfg.boundary_uncertain):
+        cfg = extract_clusters(delone_property(0.4), eta)
+        for cluster, uncertain, radius in zip(cfg.clusters, cfg.boundary_uncertain, cfg.certainty_radii.tolist()):
             ball = circumball_scalar(cluster)
-            assert prop.certainty_ball(cluster, eta) == ball
+            assert radius.hex() == ball.radius.hex()
             inside = window.contains_ball(ball.center, ball.radius)
             assert uncertain == (not inside)
 
@@ -385,6 +420,38 @@ def test_voronoi_rejects_other_dimensions():
         voronoi_property(Window((0,), (1,)))
     with pytest.raises(UnsupportedDimension):
         voronoi_property(Window((0, 0, 0), (1, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# configurations
+
+
+def _built_in_extractions():
+    """(property, configuration) pairs over every built-in property:
+    hard-core, Delone in both ball modes in d = 1, 2, 3, and Voronoi."""
+    for d, lam, cap, r in ((1, 20.0, 0.3, 0.02), (2, 40.0, 0.3, 0.05), (3, 30.0, 0.5, 0.1)):
+        window = Window((0.0,) * d, (1.0,) * d)
+        eta = sample_poisson_homogeneous(lam, window, mix_seed(151, d))
+        yield hardcore_property(r), eta
+        for open_ball_mode in (False, True):
+            yield delone_property(cap, open_ball_mode=open_ball_mode), eta
+    # a lattice patch adds cocircular groups to a Poisson draw
+    patch = Window((0, 0), (7, 7))
+    lattice = config([e.embed() for e in lattice_sites_in_window(patch)], patch)
+    for eta in (sample_poisson_homogeneous(40.0, Window((0.0, 0.0), (1.0, 1.0)), 152), lattice):
+        for open_ball_mode in (False, True):
+            yield voronoi_property(eta.window, open_ball_mode=open_ball_mode), eta
+            yield delone_property(2.0, open_ball_mode=open_ball_mode), eta
+
+
+def test_extracted_configurations_are_canonical_and_round_trip():
+    for prop, eta in _built_in_extractions():
+        cfg = extract_clusters(prop, eta)
+        assert len(cfg) > 0, prop.name
+        assert list(cfg.clusters) == sorted(cfg.clusters), prop.name
+        assert ClusterConfiguration(cfg.clusters, cfg.boundary_uncertain, cfg.source_window) == cfg
+        # the benchmark's tracer runs properties copied this way
+        assert extract_clusters(dataclasses.replace(prop), eta) == cfg
 
 
 # ---------------------------------------------------------------------------

@@ -247,11 +247,17 @@ def test_window_derived_arrays_stay_out_of_identity():
 
 
 def test_window_rejects_nan():
-    # NaN compares false both ways, so each check must fail closed
+    # NaN compares false both ways, so each check must fail closed;
+    # infinite corners and an overflowing volume are refused as well
     for low, high, margin in (
         ((math.nan, 0.0), (1.0, 1.0), 0.0),
         ((0.0, 0.0), (1.0, math.nan), 0.0),
         ((0.0, 0.0), (1.0, 1.0), math.nan),
+        ((-math.inf, 0.0), (1.0, 1.0), 0.0),
+        ((0.0, 0.0), (1.0, math.inf), 0.0),
+        ((math.inf, 0.0), (math.inf, 1.0), 0.0),
+        ((0.0, 0.0), (1e308, 1e308), 0.0),
+        ((-1e308, 0.0), (1e308, 1.0), 0.0),
     ):
         with pytest.raises(ValueError):
             Window(low, high, margin)

@@ -180,6 +180,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         json.dumps({**record, "points": [[0.1, 0.1], [0.5, 0.5]], "multiplicities": [1.5, True]}): "'multiplicities'",
         json.dumps({**record, "points": [["a", 0.1], [0.5, 0.5]], "multiplicities": [1, 1]}): "'points'",
         json.dumps({**record, "points": [[0.1, 0.1], [0.5]], "multiplicities": [1, 1]}): "'points'",
+        # integers beyond the float range, or a multiplicity beyond int64
+        json.dumps({**record, "points": [[10**400, 0.1], [0.5, 0.5]], "multiplicities": [1, 1]}): "'points'",
+        json.dumps({**record, "points": [[0.1, 0.1], [0.5, 0.5]], "multiplicities": [2**63, 1]}): "'multiplicities'",
+        json.dumps({**record, "window": {**record["window"], "low": [-(10**400), 0]}}): "window.low",
+        json.dumps({**record, "window": {**record["window"], "high": [10**400, 1]}}): "window.high",
+        json.dumps({**record, "window": {**record["window"], "buffer_margin": 10**400}}): "window.buffer_margin",
+        json.dumps({**record, "clusters": [{**triangle, "points": [[10**400, 0.1], [0.5, 0.1], [0.1, 0.5]]}]}): "clusters[0].points",
     }
     commands = (("tessellate", "--property", "delone", "--radius-cap", "1"), ("validate",), ("render",))
     capsys.readouterr()

@@ -571,7 +571,7 @@ def test_coverage_matches_scalar_loop(cfg, n_samples, seed):
         want = hull_contains_points_scalar(cluster, queries)
         assert np.array_equal(hull_contains_points(cluster, queries), want), cluster.points
         union |= want
-    assert np.array_equal(tessellation._hull_cover(cfg.clusters, queries), union)
+    assert np.array_equal(tessellation._hull_cover(cfg.points, cfg.offsets, queries), union)
     got = covered_fraction(cfg, n_samples, seed)
     want = covered_fraction_loop(cfg, cfg.source_window, n_samples, seed)
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -591,14 +591,15 @@ def test_coverage_rejects_unsupported_clusters_anywhere():
     # never reaches the second cluster; the kernel checks all of them
     window = Window((0.0,) * 3, (1.0,) * 3)
     big = Cluster([(-10, -10, -10), (30, -10, -10), (-10, 30, -10), (-10, -10, 30)])
-    unsupported = (
-        Cluster([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
-        Cluster([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
-    )
-    for cluster in unsupported:
-        cfg = ClusterConfiguration([big, cluster], [False, False], window)
-        assert covered_fraction_loop(cfg, window, 100, 1) == (1.0, 0.0)
+    cluster = Cluster([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    cfg = ClusterConfiguration([big, cluster], [False, False], window)
+    assert covered_fraction_loop(cfg, window, 100, 1) == (1.0, 0.0)
+    with pytest.raises(UnsupportedDimension):
+        covered_fraction(cfg, 100, 1)
+    simplex_4d = Cluster([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    for unsupported in (cluster, simplex_4d):
         with pytest.raises(UnsupportedDimension):
-            covered_fraction(cfg, 100, 1)
-        with pytest.raises(UnsupportedDimension):
-            hull_contains_points(cluster, np.zeros((1, 3)))
+            hull_contains_points(unsupported, np.zeros((1, 3)))
+    # a configuration refuses a cluster of another dimension than its window's
+    with pytest.raises(ValueError):
+        ClusterConfiguration([big, simplex_4d], [False, False], window)
