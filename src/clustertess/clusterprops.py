@@ -5,18 +5,16 @@ configuration) pairs with an enumerator that produces every candidate
 cluster the property could admit for a given configuration. Extraction
 keeps the candidates the predicate admits and flags each as
 boundary-uncertain when unseen points outside the window could have
-changed the verdict.
-
-The built-in properties decide a whole configuration at once: each
-`table` returns all its candidates as one array-backed
-ClusterConfiguration in canonical order, with a member mask, from
-batched numpy and kd-tree work over index rows into the points.
-`_predicate_table` turns a property written as scalar predicates into
-the same table. No `Cluster` object is built until `.clusters` is read.
-
-Two modes exist: clusters *in* a configuration are subsets of its
-support (Delone simplices, hard-core singletons), clusters *for* a
+changed the verdict. Clusters *in* a configuration are subsets of its
+support (Delone simplices, hard-core singletons); clusters *for* a
 configuration need not be (Voronoi cell vertex sets).
+
+Each built-in property decides a whole configuration in one `table`:
+all its candidates as one array-backed ClusterConfiguration in canonical
+order, with a member mask, from batched numpy and kd-tree work over the
+points; Voronoi cells take one sorted pass over the Delone table's
+triangles. `_predicate_table` turns scalar predicates into the same
+table. No `Cluster` object is built until `.clusters` is read.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Callable, Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import NotSimple, UnsupportedDimension
-from .geometry import EPS_GEOM, Ball, Cluster, circumballs, is_discrete_polytope
+from .geometry import EPS_GEOM, Ball, Cluster, _norm, circumballs, is_discrete_polytope
 
 # not called here: the benchmark's tracer still counts calls through
 # this binding (`benchmarks/spans.py`), and fails when it is missing
@@ -336,13 +334,18 @@ def delone_property(radius_cap: float, open_ball_mode: bool = False) -> ClusterP
 
 
 def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool):
-    """Bounded Voronoi cells of a planar configuration, by duality.
+    """Bounded Voronoi cells of a planar configuration, by duality, with no
+    `Cluster` built: (cells, member, sites), the flagged cells in canonical
+    order, whether each is a discrete polytope, and each one's centre index.
 
-    Returns {cell cluster: (center point, certain flag)}. The vertices
-    of the cell of a center are the circumcenters of the Delone
-    triangles (`_delone_table`) incident to it. Their fan closes into a
-    single ring, and the cell is bounded, when there are at least three
-    and each neighbour of the center in them appears in exactly two.
+    A centre's cell closes when it is in three or more Delone triangles
+    (`_delone_table`) and each neighbour in them is in exactly two. Their
+    circumcenters, by angle (ties in row order), merge into the last kept
+    within tol = EPS_GEOM * max(min(1, the largest window corner
+    magnitude), the largest vertex magnitude), and a last into the first.
+    Three or more left surround the centre, so all are extreme when every
+    turn is convex; a cell with a turn (cross product over edge lengths)
+    of at most 1e-6 goes to `is_discrete_polytope`.
     """
     if eta.dimension != 2:
         raise UnsupportedDimension("the Voronoi property is implemented for d = 2 only")
@@ -350,66 +353,63 @@ def _voronoi_cells(eta: PointConfiguration, cap: float, open_ball_mode: bool):
         raise NotSimple("Voronoi cells by duality require a simple configuration")
     rows, centers, _, member = _delone_table(eta, cap, open_ball_mode)
     rows, centers = rows[member], centers[member]
-    # (center, neighbour) incidences, one per triangle and ordered vertex pair
-    pairs = rows[:, [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]].reshape(-1, 2)
-    edges, uses = np.unique(pairs, axis=0, return_counts=True)
+    # (center, neighbour) incidences, center * n + neighbour, one per triangle and ordered vertex pair
+    pairs = rows[:, [0, 0, 1, 1, 2, 2]] * eta.n_atoms + rows[:, [1, 2, 0, 2, 0, 1]]
+    edges, uses = np.unique(pairs, return_counts=True)
     closed = np.bincount(rows.ravel(), minlength=eta.n_atoms) >= 3
-    closed[edges[uses != 2, 0]] = False
-    # the triangles at each center, in row order
-    incident = np.argsort(rows.ravel(), kind="stable") // 3
-    start = np.searchsorted(np.sort(rows.ravel()), np.arange(eta.n_atoms + 1))
-    out = {}
-    for ci in np.nonzero(closed)[0]:
-        center = eta.points[ci]
-        verts = centers[incident[start[ci] : start[ci + 1]]]
-        angles = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
-        order = np.argsort(angles, kind="stable")
-        ordered = verts[order]
-        tol = EPS_GEOM * max(1.0, float(np.abs(ordered).max()))
-        keep = [0]
-        for k in range(1, len(ordered)):
-            if np.linalg.norm(ordered[k] - ordered[keep[-1]]) > tol:
-                keep.append(k)
-        if len(keep) > 1 and np.linalg.norm(ordered[keep[-1]] - ordered[keep[0]]) <= tol:
-            keep.pop()
-        if len(keep) < 3:
-            continue
-        cell = Cluster(tuple(ordered[k]) for k in keep)
-        radii = np.linalg.norm(ordered[keep] - center, axis=1)
-        certain = bool(eta.window.contains_ball(ordered[keep], radii).all())
-        out[cell] = (tuple(center), certain)
-    return out
+    closed[edges[uses != 2] // eta.n_atoms] = False
+    inc = np.flatnonzero(closed[rows.ravel()])
+    site, verts = rows.ravel()[inc], centers[inc // 3]
+    order = np.lexsort((np.arctan2(*(verts - eta.points[site]).T[::-1]), site))
+    site, verts = site[order], verts[order]
+    kept = np.diff(site, prepend=-1) != 0  # each cell's first vertex
+    cell, starts = np.cumsum(kept) - 1, np.flatnonzero(kept)
+    count, last = np.bincount(cell), starts.copy()
+    floor = min(1.0, float(np.abs(eta.window.low + eta.window.high).max()))
+    tol = EPS_GEOM * np.maximum(floor, np.maximum.reduceat(np.abs(verts).max(axis=1), starts))
+    # the merge, one position of every cell at a time
+    for k in (starts[count > j] + j for j in range(1, count.max(initial=0))):
+        kept[k] = _norm(verts[k] - verts[last[cell[k]]]) > tol[cell[k]]
+        last[cell[k[kept[k]]]] = k[kept[k]]
+    kept[last[(last != starts) & (_norm(verts[last] - verts[starts]) <= tol)]] = False
+    ring = kept & (np.bincount(cell[kept], minlength=len(starts)) >= 3)[cell]
+    _, first, cell, size = np.unique(cell[ring], return_index=True, return_inverse=True, return_counts=True)
+    points, site, offsets = verts[ring], site[ring][first], np.append(0, np.cumsum(size))
+    radii = np.linalg.norm(points - eta.points[site[cell]], axis=1)
+    uncertain = np.bincount(cell, ~eta.window.contains_ball(points, radii), len(site)) > 0
+    # the turn at each vertex, from its incoming edge to its outgoing one
+    i, lo, hi = np.arange(len(points)), offsets[cell], offsets[cell + 1]
+    edge = points[np.where(i == hi - 1, lo, i + 1)] - points
+    before = edge[np.where(i == lo, hi - 1, i - 1)]
+    sharp = before[:, 0] * edge[:, 1] - before[:, 1] * edge[:, 0] <= 1e-6 * np.hypot(*before.T) * np.hypot(*edge.T)
+    member = np.bincount(cell[sharp], minlength=len(site)) == 0
+    for k in np.flatnonzero(~member):
+        member[k] = is_discrete_polytope(Cluster(points[offsets[k] : offsets[k + 1]]))
+    # canonical order: cells compared as their sorted vertex lists, as `Cluster` keys compare
+    key = np.full((len(site), size.max(initial=1), 2), -np.inf)
+    key[cell, i - lo] = points[np.lexsort((points[:, 1], points[:, 0], cell))]
+    order = np.lexsort(key.reshape(-1, 2 * key.shape[1]).T[::-1])
+    points = points[np.argsort(np.argsort(order)[cell], kind="stable")]
+    cells = ClusterConfiguration._of(points, np.append(0, np.cumsum(size[order])), uncertain[order], None, eta.window)
+    return cells, member[order], site[order]
 
 
 def voronoi_cell_centers(eta: PointConfiguration) -> dict:
-    """Map from each bounded Voronoi cell cluster to its center point,
-    under `voronoi_property(eta.window)`'s cap."""
-    cap = 2.0 * eta.window.diameter()
-    return {c: ctr for c, (ctr, _) in _voronoi_cells(eta, cap, False).items()}
+    """{bounded Voronoi cell: center}, polytope or not, under `voronoi_property(eta.window)`'s cap."""
+    cells, _, site = _voronoi_cells(eta, 2.0 * eta.window.diameter(), False)
+    return dict(zip(cells.clusters, map(tuple, eta.points[site])))
 
 
 def voronoi_property(window: Window, open_ball_mode: bool = False) -> ClusterProperty:
-    """Vertex sets of bounded Voronoi cells in the plane.
-
-    Candidates come from duality with the Delone table (radius capped
-    at twice the window diameter, which cannot exclude any
-    boundary-certain cell; see `_voronoi_cells`); vertices are ordered
-    counterclockwise around the center starting from the smallest
-    angle. Membership additionally requires the vertex set to be a
-    discrete polytope. A cell is boundary-certain when, for every
-    vertex, the ball around it reaching back to the center fits inside
-    the window; only then is no unseen outside point able to displace
-    that vertex. The cells are sorted into canonical order; they have no
-    certainty radius.
+    """Vertex sets of bounded Voronoi cells in the plane that are discrete
+    polytopes, counterclockwise from the smallest angle around the center,
+    by `_voronoi_cells` under a cap of twice the window diameter, which
+    cannot exclude a boundary-certain cell. A cell is boundary-certain when
+    each vertex's ball reaching back to the center fits inside the window,
+    so that no unseen outside point can displace it. No certainty radius.
     """
     if window.dimension != 2:
         raise UnsupportedDimension("the Voronoi property is implemented for d = 2 only")
     cap = 2.0 * window.diameter()
-
-    def table(eta: PointConfiguration):
-        cells = _voronoi_cells(eta, cap, open_ball_mode)
-        ordered = sorted(cells)
-        candidates = ClusterConfiguration(ordered, [not cells[c][1] for c in ordered], eta.window)
-        return candidates, np.array([is_discrete_polytope(c) for c in ordered], dtype=bool)
-
+    table = lambda eta: _voronoi_cells(eta, cap, open_ball_mode)[:2]  # noqa: E731
     return ClusterProperty("voronoi", PropertyMode.FOR_CONFIGURATION, None, None, None, table=table)

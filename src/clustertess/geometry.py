@@ -3,8 +3,8 @@
 A cluster is a finite set of distinct points in R^d, standing in for the
 vertex set of a convex polytope. This module supplies the exact-enough
 kernels everything else is built on: circumballs and facet planes of
-simplices, convex hulls and extreme points (Qhull, d <= 3), and the
-face test of simplex pairs.
+simplices, the face test of simplex pairs, and extreme points (Qhull,
+d <= 3), the Voronoi turn test's last word in its band and its oracle.
 
 There is one relative tolerance, EPS_GEOM. Every predicate reads it
 where its test is made, and it cannot be set per call. A simplex is

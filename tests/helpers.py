@@ -16,8 +16,9 @@ scan every point; `circumball_scalar`, the scalar elimination, checks
 the batched `circumballs` bit for bit; `facet_halfspaces_scalar`, one
 facet plane at a time, checks the batched `facet_planes` bit for bit;
 `common_face_check_scalar` checks the batched `face_relations` pair by
-pair; and the per-cluster hull test and coverage loop check the batched
-coverage kernel bit for bit.
+pair; the per-cluster hull test and coverage loop check the batched
+coverage kernel bit for bit; and `voronoi_cells_loop`, one Python loop
+over the cells, checks the array pass of `_voronoi_cells` bit for bit.
 """
 
 import itertools
@@ -33,11 +34,14 @@ from clustertess import (
     AmbiguousDecomposition,
     Ball,
     Cluster,
+    ClusterConfiguration,
     DegenerateSimplex,
     EPS_GEOM,
     UnsupportedDimension,
+    is_discrete_polytope,
     make_rng,
 )
+from clustertess.clusterprops import _delone_table
 from clustertess.geometry import SINGULAR_DET, FaceRelation, facet_planes
 
 
@@ -422,6 +426,51 @@ def voronoi_vertices_brute_force(eta, tol=1e-9):
         key = tuple(round(x, 9) for x in center)
         found[key] = (center, nearest)
     return found
+
+
+def voronoi_cells_loop(eta, cap, open_ball_mode=False):
+    """Voronoi candidates by one Python loop over the closed centres, the
+    rule the array pass of `_voronoi_cells` replaced: (cells, member,
+    centers), the cells sorted as `Cluster` objects and flagged, whether
+    `is_discrete_polytope` admits each, and {cell: center}.
+
+    Each closed centre's vertices are ordered by a stable argsort of
+    their angles; a vertex is kept when it lies farther than tol from the
+    last one kept, and the last kept goes when it lies within tol of the
+    first, tol being EPS_GEOM * max(min(1, the largest window corner
+    magnitude), the cell's largest vertex magnitude).
+    """
+    rows, centers, _, member = _delone_table(eta, cap, open_ball_mode)
+    rows, centers = rows[member], centers[member]
+    pairs = rows[:, [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]].reshape(-1, 2)
+    edges, uses = np.unique(pairs, axis=0, return_counts=True)
+    closed = np.bincount(rows.ravel(), minlength=eta.n_atoms) >= 3
+    closed[edges[uses != 2, 0]] = False
+    incident = np.argsort(rows.ravel(), kind="stable") // 3
+    start = np.searchsorted(np.sort(rows.ravel()), np.arange(eta.n_atoms + 1))
+    floor = min(1.0, max(abs(c) for c in eta.window.low + eta.window.high))
+    out = {}
+    for ci in np.nonzero(closed)[0]:
+        center = eta.points[ci]
+        verts = centers[incident[start[ci] : start[ci + 1]]]
+        angles = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
+        ordered = verts[np.argsort(angles, kind="stable")]
+        tol = EPS_GEOM * max(floor, float(np.abs(ordered).max()))
+        keep = [0]
+        for k in range(1, len(ordered)):
+            if np.linalg.norm(ordered[k] - ordered[keep[-1]]) > tol:
+                keep.append(k)
+        if len(keep) > 1 and np.linalg.norm(ordered[keep[-1]] - ordered[keep[0]]) <= tol:
+            keep.pop()
+        if len(keep) < 3:
+            continue
+        radii = np.linalg.norm(ordered[keep] - center, axis=1)
+        certain = bool(eta.window.contains_ball(ordered[keep], radii).all())
+        out[Cluster(tuple(ordered[k]) for k in keep)] = (tuple(center), certain)
+    cells = sorted(out)
+    cfg = ClusterConfiguration(cells, [not out[c][1] for c in cells], eta.window)
+    member = np.array([is_discrete_polytope(c) for c in cells], dtype=bool)
+    return cfg, member, {c: out[c][0] for c in cells}
 
 
 def lp_extreme_points(points):
