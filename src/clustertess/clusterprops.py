@@ -12,9 +12,10 @@ configuration need not be (Voronoi cell vertex sets).
 Each built-in property decides a whole configuration in one `table`:
 all its candidates as one array-backed ClusterConfiguration in canonical
 order, with a member mask, from batched numpy and kd-tree work over the
-points; Voronoi cells take one sorted pass over the Delone table's
-triangles. `_predicate_table` turns scalar predicates into the same
-table. No `Cluster` object is built until `.clusters` is read.
+points; the Delone table decides the Delaunay simplices in one pass,
+and Voronoi cells take one sorted pass over its triangles.
+`_predicate_table` turns scalar predicates into the same table. No
+`Cluster` object is built until `.clusters` is read.
 """
 
 from __future__ import annotations
@@ -221,82 +222,80 @@ def hardcore_property(r: float) -> ClusterProperty:
 # Delone simplices with capped circumradius
 
 
-def _delone_candidate_rows(pts: np.ndarray, tree, radius_cap: float) -> np.ndarray:
-    """Index rows of the Delone candidates, each ascending, unique and in
-    lexicographic order.
-
-    Each Delaunay simplex (Qhull; in d = 1 an adjacent pair) under the
-    cap grows into every point within 8 EPS_GEOM of its circumsphere, and
-    all (d+1)-subsets of that group become candidates. Qhull triangulates a
-    cocircular group one way only, while the open ball admits all its
-    simplices; and it resolves near-cocircular groups only to its own
-    precision, which a thin simplex coarsens: of (0, 0), (1e-9, 0),
-    (0.25, 0.25), (0, 0.5) it keeps the two triangles on (1e-9, 0) and
-    (0, 0.5), but the closed-ball member is the third.
-
-    Qhull resolves points only to about 1e-13 of the extent, so every
-    (d+1)-subset within two cap radii of a point that has a neighbour
-    within 1e-10 of the extent is a candidate too.
-    """
-    from scipy.spatial import Delaunay, QhullError
-
-    n, d = pts.shape
-    rows = np.empty((0, d + 1), dtype=np.intp)
-    if n < d + 1:
-        return rows
-    if d == 1:
-        rows = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-    else:
-        try:
-            # centred input keeps Qhull's lifted coordinates small
-            rows = Delaunay(pts - pts.mean(axis=0)).simplices
-        except QhullError:  # affinely degenerate input, e.g. all collinear
-            pass
-    # An admitted open-ball simplex S off Qhull's triangulation sits off
-    # the sphere of a simplex T of its group by up to EPS_GEOM * vol(S) /
-    # vol(T). In the plane one of the two triangles on a quadrilateral
-    # holds half its area, so 2 EPS_GEOM covers that case; 8 EPS_GEOM
-    # leaves room for larger groups and d = 3.
-    slack = 1.0 + 8.0 * EPS_GEOM
-    centers, radii, ok = circumballs(pts[rows])
-    good = ok & (radii <= radius_cap * slack)
-    groups = tree.query_ball_point(centers[good], radii[good] * slack, return_sorted=True)
-    grown = {c for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
-    crowded = np.unique(tree.query_pairs(1e-10 * np.ptp(pts, axis=0).max(), output_type="ndarray"))
-    near = tree.query_ball_point(pts[crowded], 2.0 * radius_cap * slack)
-    grown |= {c for i, g in zip(crowded, near) for c in itertools.combinations(sorted(g), d + 1) if i in c}
-    return np.unique(np.array(list(grown), dtype=np.intp).reshape(-1, d + 1), axis=0)
+def _empty_balls(tree, pts, rows, centers, radii, open_ball_mode: bool, grow: float = 1.0):
+    """(member, owner, k): whether each row's punctured circumball is empty,
+    as the scalar trichotomy measures the points the kd-tree finds off its
+    vertices, and each such point k within r * grow of row owner's centre."""
+    band = EPS_GEOM * radii
+    hits = tree.query_ball_point(centers, np.maximum(radii * grow, (radii + band) * _REACH + _REACH_FLOOR))
+    owner = np.repeat(np.arange(len(rows)), [len(h) for h in hits])
+    k = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(owner))
+    foreign = (rows[owner] != k[:, None]).all(axis=1)
+    owner, k = owner[foreign], k[foreign]
+    dist = np.linalg.norm(pts[k] - centers[owner], axis=1)
+    inside = dist < (radii - band)[owner] if open_ball_mode else dist <= (radii + band)[owner]
+    near = dist <= (radii * grow)[owner]
+    return np.bincount(owner[inside], minlength=len(rows)) == 0, owner[near], k[near]
 
 
 def _delone_table(eta: PointConfiguration, radius_cap: float, open_ball_mode: bool):
     """The Delone candidates under the cap, as (rows, centers, radii,
-    member): index rows in lexicographic order, their circumballs (bit
-    for bit `circumball`'s) and whether each punctured circumball is
-    empty. Emptiness is the scalar trichotomy's: the kd-tree finds the
-    points within a padded radius, their distances to the centre are
-    measured again with the scalar's expression, and the vertices are
-    excluded by index.
+    member): ascending index rows in lexicographic order, their
+    circumballs (bit for bit `circumball`'s) and whether each punctured
+    circumball is empty.
+
+    One `circumballs` call and one kd-tree query decide each Delaunay
+    simplex (Qhull; in d = 1 an adjacent pair) and find its group, the
+    points within 8 EPS_GEOM of its circumsphere. A larger group gives all
+    its (d+1)-subsets: Qhull triangulates a cocircular group one way only,
+    while the open ball admits all its simplices, and resolves
+    near-cocircular groups only to its own precision, which a thin simplex
+    coarsens: of (0, 0), (1e-9, 0), (0.25, 0.25), (0, 0.5) it keeps the
+    two triangles on (1e-9, 0) and (0, 0.5), but the closed-ball member is
+    the third. Qhull resolves points to about 1e-13 of the extent, so every
+    (d+1)-subset within two cap radii of a point with a neighbour within
+    1e-10 of the extent is a candidate too. Subsets take a second pass.
     """
-    from scipy.spatial import cKDTree
+    from scipy.spatial import Delaunay, QhullError, cKDTree
 
     pts = eta.points
+    n, d = pts.shape
     tree = cKDTree(pts)
-    rows = _delone_candidate_rows(pts, tree, radius_cap)
+    rows = np.column_stack([np.arange(n - 1), np.arange(1, n)]) if d == 1 else np.empty((0, d + 1), dtype=np.intp)
+    if d > 1 and n >= d + 1:
+        try:
+            # centred input keeps Qhull's lifted coordinates small
+            rows = np.sort(Delaunay(pts - pts.mean(axis=0)).simplices.astype(np.intp), axis=1)
+        except QhullError:  # affinely degenerate input, e.g. all collinear
+            pass
+    # An admitted open-ball simplex S off Qhull's triangulation sits off the
+    # sphere of a simplex T of its group by up to EPS_GEOM * vol(S) / vol(T).
+    # One of the two triangles on a quadrilateral holds half its area, so 2
+    # EPS_GEOM covers that; 8 EPS_GEOM leaves room for larger groups and d = 3.
+    slack = 1.0 + 8.0 * EPS_GEOM
     centers, radii, ok = circumballs(pts[rows])
-    under = ok & (radii <= radius_cap)
-    rows, centers, radii = rows[under], centers[under], radii[under]
-    band = EPS_GEOM * radii
-    hits = tree.query_ball_point(centers, (radii + band) * _REACH + _REACH_FLOOR)
-    owner = np.repeat(np.arange(len(rows)), [len(h) for h in hits])
-    k = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(owner))
-    dist = np.linalg.norm(pts[k] - centers[owner], axis=1)
-    if open_ball_mode:
-        inside = dist < (radii - band)[owner]
-    else:
-        inside = dist <= (radii + band)[owner]
-    inside &= (rows[owner] != k[:, None]).all(axis=1)
-    member = np.bincount(owner[inside], minlength=len(rows)) == 0
-    return rows, centers, radii, member
+    good = ok & (radii <= radius_cap * slack)
+    rows, centers, radii = rows[good], centers[good], radii[good]
+    member, owner, k = _empty_balls(tree, pts, rows, centers, radii, open_ball_mode, slack)
+    ends = np.searchsorted(owner, np.arange(len(rows) + 1))
+    groups = {tuple(sorted(rows[j].tolist() + k[ends[j] : ends[j + 1]].tolist())) for j in np.unique(owner)}
+    grown = {c for g in groups for c in itertools.combinations(g, d + 1)}
+    if n >= d + 1:
+        crowded = np.unique(tree.query_pairs(1e-10 * np.ptp(pts, axis=0).max(), output_type="ndarray"))
+        near = tree.query_ball_point(pts[crowded], 2.0 * radius_cap * slack)
+        grown |= {c for i, g in zip(crowded, near) for c in itertools.combinations(sorted(g), d + 1) if i in c}
+    if grown:
+        more = np.array(list(grown), dtype=np.intp)
+        c2, r2, ok2 = circumballs(pts[more])
+        keep = ok2 & (r2 <= radius_cap)
+        m2 = _empty_balls(tree, pts, more[keep], c2[keep], r2[keep], open_ball_mode)[0]
+        parts = zip((rows, centers, radii, member), (more[keep], c2[keep], r2[keep], m2))
+        rows, centers, radii, member = map(np.concatenate, parts)
+    # the rows under the cap in lexicographic order; a grown row that is a simplex too is kept once
+    order = np.flatnonzero(radii <= radius_cap)
+    order = order[np.lexsort(rows[order].T[::-1])]
+    order = order[(np.diff(rows[order], axis=0, prepend=-1) != 0).any(axis=1)]
+    return rows[order], centers[order], radii[order], member[order]
 
 
 def delone_property(radius_cap: float, open_ball_mode: bool = False) -> ClusterProperty:
@@ -309,12 +308,12 @@ def delone_property(radius_cap: float, open_ball_mode: bool = False) -> ClusterP
     conventional open-ball Delaunay test.
 
     Candidates grow out of the Delaunay simplices of the configuration
-    (scipy's Qhull; see `_delone_candidate_rows`), and `_delone_table`
-    decides those under the cap all at once. Their index rows are
-    ascending and in lexicographic order, and the support is lexsorted,
-    so the candidates are in canonical order as they come. A cluster is
-    boundary-uncertain when its circumball leaves the window; its
-    circumradius is its certainty radius.
+    (scipy's Qhull), and `_delone_table` decides those under the cap all
+    at once. Their index rows are ascending and in lexicographic order,
+    and the support is lexsorted, so the candidates are in canonical
+    order as they come. A cluster is boundary-uncertain when its
+    circumball leaves the window; its circumradius is its certainty
+    radius.
     """
     if radius_cap <= 0.0:
         raise ValueError(f"radius cap must be positive, got {radius_cap}")

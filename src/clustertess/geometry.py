@@ -8,8 +8,8 @@ d <= 3), the Voronoi turn test's last word in its band and its oracle.
 
 There is one relative tolerance, EPS_GEOM. Every predicate reads it
 where its test is made, and it cannot be set per call. A simplex is
-degenerate exactly where `circumballs`' pivot test, relative to the
-simplex's own size, rejects it; `facet_planes` has no test of its own.
+degenerate exactly where `circumballs` rejects it (a pivot test relative
+to its own size, or an underflow guard); `facet_planes` judges nothing.
 Circumballs, facet planes and the face test each have one batched
 implementation, `circumballs`, `facet_planes` and `face_relations`;
 `circumball` and `common_face_check` run them on one simplex or one pair.
@@ -141,10 +141,11 @@ def circumballs(simplices: np.ndarray):
     pivoting. ok is False where a pivot is at most max(EPS_GEOM times
     the matrix scale, the smallest normal float): the vertices are
     affinely dependent, or the reciprocal of a subnormal pivot would
-    overflow. Sums run term by term, left to right, a zero factor skips
-    its row update, and radius terms are squared by libm `pow`
-    (`np.float_power`), so that the results equal the scalar
-    elimination's in the test oracles bit for bit.
+    overflow; and where half the matrix scale squares below it (edges
+    under about 1.5e-154), so that the squares on the right underflow.
+    Sums run term by term, left to right, a zero factor skips its row
+    update, and radius terms are squared by libm `pow` (`np.float_power`),
+    so that the results equal the oracles' scalar elimination bit for bit.
     """
     s = np.asarray(simplices, dtype=float)
     m, _, d = s.shape
@@ -154,7 +155,7 @@ def circumballs(simplices: np.ndarray):
     b = np.cumsum(s[:, 1:] * s[:, 1:], axis=2)[..., -1] - np.cumsum(p0 * p0, axis=1)[:, -1:]
     scale = np.abs(a).max(axis=(1, 2), initial=0.0)
     tol = np.maximum(EPS_GEOM * scale, sys.float_info.min)
-    ok = scale != 0.0
+    ok = 0.25 * scale * scale >= sys.float_info.min
     each = np.arange(m)
     with np.errstate(all="ignore"):  # degenerate rows run on, unused
         for col in range(d):

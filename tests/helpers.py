@@ -17,8 +17,10 @@ the batched `circumballs` bit for bit; `facet_halfspaces_scalar`, one
 facet plane at a time, checks the batched `facet_planes` bit for bit;
 `common_face_check_scalar` checks the batched `face_relations` pair by
 pair; the per-cluster hull test and coverage loop check the batched
-coverage kernel bit for bit; and `voronoi_cells_loop`, one Python loop
-over the cells, checks the array pass of `_voronoi_cells` bit for bit.
+coverage kernel bit for bit; `delone_table_two_pass`, candidate growth
+and emptiness in two passes, checks the one-pass `_delone_table` bit for
+bit; and `voronoi_cells_loop`, one Python loop over the cells, checks
+the array pass of `_voronoi_cells` bit for bit.
 """
 
 import itertools
@@ -41,8 +43,8 @@ from clustertess import (
     is_discrete_polytope,
     make_rng,
 )
-from clustertess.clusterprops import _delone_table
-from clustertess.geometry import SINGULAR_DET, FaceRelation, facet_planes
+from clustertess.clusterprops import _REACH, _REACH_FLOOR, _delone_table
+from clustertess.geometry import SINGULAR_DET, FaceRelation, circumballs, facet_planes
 
 
 class BallSide(Enum):
@@ -75,7 +77,9 @@ def circumball_scalar(simplex, eps=EPS_GEOM):
     |v_i|^2 - |v_0|^2 by Gaussian elimination with partial pivoting.
     A pivot below eps times the matrix scale means the vertices are
     affinely dependent and DegenerateSimplex is raised; so does a
-    subnormal pivot, whose reciprocal would overflow.
+    subnormal pivot, whose reciprocal would overflow, and a matrix scale
+    whose half squares below the smallest normal float, where the
+    squared terms on the right underflow.
     """
     pts = simplex.points
     d = simplex.dimension
@@ -94,6 +98,8 @@ def circumball_scalar(simplex, eps=EPS_GEOM):
     scale = max((abs(v) for row in rows for v in row), default=0.0)
     if scale == 0.0:
         raise DegenerateSimplex("simplex vertices coincide")
+    if 0.25 * scale * scale < sys.float_info.min:
+        raise DegenerateSimplex(f"edge scale {scale:.3e} squares below the smallest normal float")
 
     # elimination with partial pivoting, in place
     tol = max(eps * scale, sys.float_info.min)
@@ -193,6 +199,63 @@ def exhaustive_delone(eta, radius_cap, open_ball_mode=False):
         if not blocked:
             out.append(cluster)
     return sorted(out)
+
+
+def _delone_candidate_rows_two_pass(pts, tree, radius_cap):
+    """Index rows of the Delone candidates, each ascending, unique and in
+    lexicographic order: every (d+1)-subset of each Delaunay simplex's
+    group (the points within 8 EPS_GEOM of its circumsphere), plus every
+    (d+1)-subset within two cap radii of a crowded point."""
+    from scipy.spatial import Delaunay, QhullError
+
+    n, d = pts.shape
+    rows = np.empty((0, d + 1), dtype=np.intp)
+    if n < d + 1:
+        return rows
+    if d == 1:
+        rows = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    else:
+        try:
+            rows = Delaunay(pts - pts.mean(axis=0)).simplices
+        except QhullError:
+            pass
+    slack = 1.0 + 8.0 * EPS_GEOM
+    centers, radii, ok = circumballs(pts[rows])
+    good = ok & (radii <= radius_cap * slack)
+    groups = tree.query_ball_point(centers[good], radii[good] * slack, return_sorted=True)
+    grown = {c for g in set(map(tuple, groups)) for c in itertools.combinations(g, d + 1)}
+    crowded = np.unique(tree.query_pairs(1e-10 * np.ptp(pts, axis=0).max(), output_type="ndarray"))
+    near = tree.query_ball_point(pts[crowded], 2.0 * radius_cap * slack)
+    grown |= {c for i, g in zip(crowded, near) for c in itertools.combinations(sorted(g), d + 1) if i in c}
+    return np.unique(np.array(list(grown), dtype=np.intp).reshape(-1, d + 1), axis=0)
+
+
+def delone_table_two_pass(eta, radius_cap, open_ball_mode):
+    """The Delone table as (rows, centers, radii, member) by the two passes
+    the fused `_delone_table` replaced: candidate rows grown from the
+    Delaunay simplices by one `circumballs` call and one kd-tree query,
+    then a second `circumballs` call and kd-tree query over the rows to
+    decide emptiness."""
+    from scipy.spatial import cKDTree
+
+    pts = eta.points
+    tree = cKDTree(pts)
+    rows = _delone_candidate_rows_two_pass(pts, tree, radius_cap)
+    centers, radii, ok = circumballs(pts[rows])
+    under = ok & (radii <= radius_cap)
+    rows, centers, radii = rows[under], centers[under], radii[under]
+    band = EPS_GEOM * radii
+    hits = tree.query_ball_point(centers, (radii + band) * _REACH + _REACH_FLOOR)
+    owner = np.repeat(np.arange(len(rows)), [len(h) for h in hits])
+    k = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(owner))
+    dist = np.linalg.norm(pts[k] - centers[owner], axis=1)
+    if open_ball_mode:
+        inside = dist < (radii - band)[owner]
+    else:
+        inside = dist <= (radii + band)[owner]
+    inside &= (rows[owner] != k[:, None]).all(axis=1)
+    member = np.bincount(owner[inside], minlength=len(rows)) == 0
+    return rows, centers, radii, member
 
 
 def face_to_face_violations_all_pairs(cfg):

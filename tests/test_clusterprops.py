@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     BallSide,
     ball_contains,
     circumball_scalar,
+    delone_table_two_pass,
     exhaustive_delone,
     hardcore_isolated,
     voronoi_cells_loop,
@@ -556,6 +558,114 @@ def test_voronoi_rejects_other_dimensions():
         voronoi_property(Window((0,), (1,)))
     with pytest.raises(UnsupportedDimension):
         voronoi_property(Window((0, 0, 0), (1, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the Delone table in one pass
+
+
+@st.composite
+def delone_inputs(draw):
+    """(configuration, cap) in d = 1, 2 or 3, the cap from 1e-3 to 1 times
+    twice the window diameter: Poisson draws, jittered grids, silver-mean
+    lattice patches, cocircular rings jittered radially by 1e-12 to 1e-7
+    with and without their centre, and Poisson draws with pairs moved
+    closer than 1e-10 of the extent."""
+    kind = draw(st.sampled_from(("poisson", "grid", "lattice", "rings", "crowded")))
+    d = 2 if kind in ("lattice", "rings") else draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    window = Window((0.0,) * d, (1.0,) * d)
+    if kind == "grid":
+        n = draw(st.integers(3, (12, 7, 4)[d - 1]))
+        side = (np.arange(n) + 0.5) / n
+        pts = np.stack(np.meshgrid(*[side] * d), axis=-1).reshape(-1, d)
+        jitter = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6, 1e-3)))
+        eta = config(pts + jitter * rng.uniform(-1.0, 1.0, pts.shape), window)
+    elif kind == "lattice":
+        window = Window((0.0, 0.0), (draw(st.sampled_from((5.0, 7.0, 9.0, 12.0))),) * 2)
+        eta = config([e.embed() for e in lattice_sites_in_window(window)], window)
+    elif kind == "rings":
+        n, n_rings, centre = draw(st.integers(3, 12)), draw(st.integers(1, 2)), draw(st.booleans())
+        eta = jittered_rings(n, n_rings, centre, 10.0 ** draw(st.floats(-12.0, -7.0)), seed)
+    else:
+        lam = draw(st.sampled_from(((10.0, 30.0, 60.0), (10.0, 40.0, 100.0), (8.0, 20.0, 40.0))[d - 1]))
+        eta = sample_poisson_homogeneous(lam, window, seed)
+        if kind == "crowded" and eta.n_atoms:
+            near = eta.points[rng.integers(eta.n_atoms, size=3)]
+            near = near + 10.0 ** draw(st.floats(-15.0, -10.5)) * rng.uniform(-1.0, 1.0, near.shape)
+            eta = config(np.unique(np.clip(np.concatenate([eta.points, near]), 0.0, 1.0), axis=0), window)
+    return eta, 2.0 * eta.window.diameter() * 10.0 ** draw(st.floats(-3.0, 0.0))
+
+
+COCIRCULAR_SQUARE = config([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=delone_inputs())
+# one cocircular group of four: the larger-group fallback
+@example(case=(COCIRCULAR_SQUARE, 1.0))
+def test_delone_table_matches_two_pass_oracle(case):
+    eta, cap = case
+    for open_ball_mode in (False, True):
+        got = clusterprops._delone_table(eta, cap, open_ball_mode)
+        want = delone_table_two_pass(eta, cap, open_ball_mode)
+        for name, a, b in zip(("rows", "centers", "radii", "member"), got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (name, open_ball_mode)
+
+
+def _count_delone_calls(monkeypatch):
+    """Patch clusterprops' `circumballs` and `itertools.combinations` to
+    record each call: {"circumballs": [simplices per call], "combinations":
+    [subset size per call]}."""
+    calls = {"circumballs": [], "combinations": []}
+    kernel, combinations = clusterprops.circumballs, itertools.combinations
+
+    def counted_kernel(simplices):
+        calls["circumballs"].append(len(simplices))
+        return kernel(simplices)
+
+    def counted_combinations(items, k):
+        calls["combinations"].append(k)
+        return combinations(items, k)
+
+    monkeypatch.setattr(clusterprops, "circumballs", counted_kernel)
+    monkeypatch.setattr(itertools, "combinations", counted_combinations)
+    return calls
+
+
+def test_delone_table_decides_the_simplices_in_one_pass(monkeypatch):
+    from scipy.spatial import Delaunay
+
+    calls = _count_delone_calls(monkeypatch)
+    # (configuration, cap, whether every group is its own simplex)
+    cases = [(jittered_rings(8, 1, False, 0.0, 0), 1.0, False), (COCIRCULAR_SQUARE, 1.0, False)]
+    for d, lam in ((1, 50.0), (2, 100.0), (3, 40.0)):
+        cases.append((sample_poisson_homogeneous(lam, Window((0.0,) * d, (1.0,) * d), 5), 0.5, True))
+    for eta, cap, alone in cases:
+        if eta.dimension == 1:
+            n_simplices = eta.n_atoms - 1
+        else:
+            n_simplices = len(Delaunay(eta.points - eta.points.mean(axis=0)).simplices)
+        for open_ball_mode in (False, True):
+            calls["circumballs"].clear()
+            calls["combinations"].clear()
+            clusterprops._delone_table(eta, cap, open_ball_mode)
+            if alone:
+                assert calls == {"circumballs": [n_simplices], "combinations": []}
+            else:  # the group of all points goes through combinations
+                assert calls["circumballs"] == [n_simplices, math.comb(eta.n_atoms, 3)]
+                assert calls["combinations"] == [3]
+
+
+@pytest.mark.parametrize("leg", [1e-160, 1e-200])
+def test_delone_rejects_simplices_whose_squares_underflow(leg):
+    # at 1e-200 every circumball came out as centre (0, 0) and radius 0, so
+    # the open ball admitted all four triangles
+    eta = config([(0.0, 0.0), (leg, 0.0), (0.0, leg), (leg, leg)])
+    for open_ball_mode in (False, True):
+        assert len(extract_clusters(delone_property(0.5, open_ball_mode), eta)) == 0
+        assert exhaustive_delone(eta, 0.5, open_ball_mode) == []
 
 
 # ---------------------------------------------------------------------------

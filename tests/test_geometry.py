@@ -56,6 +56,22 @@ def test_circumball_degenerate_raises():
         circumball(Cluster([(0, 0), (0, 5e-324), (2.225073858507e-311, 0)]))
 
 
+@pytest.mark.parametrize("leg", [1e-160, 1e-200])
+def test_circumballs_reject_simplices_whose_squares_underflow(leg):
+    # the squared terms of the right-hand side underflow: at legs 1e-200 the
+    # centre came out as (0, 0) with radius 0, at 1e-160 off by 1e-5
+    for d in (1, 2, 3):
+        simplex = [tuple(leg * (j == i) for j in range(d)) for i in range(-1, d)]
+        assert not circumballs(np.array([simplex]))[2][0]
+        with pytest.raises(DegenerateSimplex):
+            circumball(Cluster(simplex))
+        with pytest.raises(DegenerateSimplex):
+            circumball_scalar(Cluster(simplex))
+    # the smallest legs whose squares are normal keep their exact centre
+    ball = circumball(Cluster([(0.0, 0.0), (2e-154, 0.0), (0.0, 2e-154)]))
+    assert ball.center == (1e-154, 1e-154)
+
+
 def _bits(values) -> bytes:
     """The exact bit pattern, so that -0.0 and 0.0 differ."""
     return np.asarray(values, dtype=float).tobytes()
@@ -85,6 +101,9 @@ def simplex_batches(draw):
 @example(batch=[[(0.0, 0.0), (0.0, 5e-324), (2.225073858507e-311, 0.0)]])
 # a well-shaped triangle far below unit scale
 @example(batch=[[(0.0, 0.0), (0.0, 1.1996980966642533e-54), (1.1996980966642533e-54, 0.0)]])
+# squares that underflow, and the smallest legs whose squares are normal
+@example(batch=[[(0.0, 0.0), (1e-160, 0.0), (0.0, 1e-160)], [(0.0, 0.0), (1e-200, 0.0), (0.0, 1e-200)]])
+@example(batch=[[(0.0, 0.0), (1.5e-154, 0.0), (0.0, 1.5e-154)], [(0.0, 0.0), (1.4e-154, 0.0), (0.0, 1.4e-154)]])
 # its radius differs by one ulp when a term is squared by x * x, not pow
 @example(batch=[[(0.705, 0.115), (0.771, 0.513), (0.291, 0.61)]])
 def test_circumballs_match_circumball_bitwise(batch):

@@ -164,8 +164,8 @@ CROSS_AXIS_PAIR = pair(
 )
 # a vertex 1.4e-9 off the other triangle's edge: improper within atol
 NEAR_EDGE_PAIR = pair([(0, 0), (1, 0), (0, 1)], [(0.5 + 1e-9, 0.5 + 1e-9), (1, 1), (1, 0.6)])
-# distinct vertices whose distance underflows to 0
-UNDERFLOW_PAIR = pair([(0.0,), (0.013,)], [(0.0,), (1.7e-234,)])
+# distinct vertices, 0 and 1.7e-234, whose distance squared underflows to 0
+UNDERFLOW_PAIR = pair([(0.0,), (0.013,)], [(-0.013,), (1.7e-234,)])
 
 
 @settings(max_examples=300, deadline=None)
