@@ -86,7 +86,15 @@ from .stats import (
     poisson_count_test,
     tile_length_histogram,
 )
-from .randomness import INVERSION_CUTOFF, make_rng, mix_seed, poisson_count, poisson_counts, splitmix64
+from .randomness import (
+    INVERSION_CUTOFF,
+    make_rng,
+    mix_seed,
+    poisson_count,
+    poisson_counts,
+    replication_rngs,
+    splitmix64,
+)
 
 __version__ = "0.1.0"
 

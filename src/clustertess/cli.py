@@ -14,7 +14,9 @@ import argparse
 import dataclasses
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .clusterprops import delone_property, extract_clusters, hardcore_property, voronoi_property
 from .cutproject import deterministic_chain, lattice_sites_in_window, shifted_chain, thinned_chain
@@ -27,7 +29,7 @@ from .pointproc import (
     sample_poisson_discrete,
     sample_poisson_homogeneous,
 )
-from .randomness import mix_seed
+from .randomness import mix_seed, replication_rngs
 from .records import (
     dump_records,
     dumps_value,
@@ -150,15 +152,14 @@ def cmd_sample(args) -> int:
     reps = res.get("replications", int, 1)
     seed = res.seed()
     records = []
-    for i in range(reps):
-        rep_seed = mix_seed(seed, i)
+    for i, rng in enumerate(replication_rngs(seed, reps)):
         if process == "poisson":
             lam = res.get("lambda", float, required=True)
-            eta = sample_poisson_homogeneous(lam, window, rep_seed)
+            eta = sample_poisson_homogeneous(lam, window, rng)
         elif process == "poisson_discrete":
             c = res.get("c", float, required=True)
             rho = DiscreteIntensity(tuple(_silver_sites(window)), c)
-            eta = sample_poisson_discrete(rho, rep_seed, window=window)
+            eta = sample_poisson_discrete(rho, rng, window=window)
         elif process == "lattice":
             eta = deterministic_lattice(_silver_sites(window), window)
         elif process == "barycentre":
@@ -169,7 +170,7 @@ def cmd_sample(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"epsilon too large for the window: {exc}") from exc
             sites = _silver_sites(inner)
-            base = sample_poisson_homogeneous(lam, window, rep_seed)
+            base = sample_poisson_homogeneous(lam, window, rng)
             eta = barycentre_shift(base, sites, epsilon)
         else:
             raise ConfigError(f"unknown process {process!r}")
@@ -254,12 +255,13 @@ def cmd_chain(args) -> int:
         )
     else:
         raise ConfigError(f"unknown chain variant {variant!r}")
+    vertices = np.array(chain.vertices, dtype=float)
     payload = {
         "variant": variant,
         "x_lo": x_lo,
         "x_hi": x_hi,
-        "vertices": list(chain.vertices),
-        "tiles": list(chain.tiles),
+        "vertices": vertices,
+        "tiles": np.diff(vertices),  # chain.tiles, as an array
     }
     tol = res.get("histogram-tol", float)
     if tol is not None:
@@ -410,9 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         try:
             return args.func(args)
         except ValueError as exc:  # these read no records, so an option value is at fault

@@ -5,13 +5,16 @@ multiplicity) inside an axis-aligned box. Bounded windows stand in for
 R^d: every consumer receives the window along with the points and has to
 apply its own boundary rule.
 
-All samplers are pure functions of (parameters, seed).
+All samplers are pure functions of (parameters, seed). A sampler also
+takes a numpy Generator in place of the seed and draws from it as it is,
+so a replication loop can hand over generators built in one batch
+(`randomness.replication_rngs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -199,7 +202,9 @@ class DiscreteIntensity:
         object.__setattr__(self, "_site_array", site_array)
 
 
-def sample_poisson_homogeneous(lam: float, window: Window, seed: Seed) -> PointConfiguration:
+def sample_poisson_homogeneous(
+    lam: float, window: Window, seed: Union[Seed, np.random.Generator]
+) -> PointConfiguration:
     """Homogeneous Poisson process with intensity lam on the window.
 
     The total count is Poisson(lam * volume); given the count, points
@@ -214,7 +219,7 @@ def sample_poisson_homogeneous(lam: float, window: Window, seed: Seed) -> PointC
 
 
 def sample_poisson_discrete(
-    rho: DiscreteIntensity, seed: Seed, window: Optional[Window] = None
+    rho: DiscreteIntensity, seed: Union[Seed, np.random.Generator], window: Optional[Window] = None
 ) -> PointConfiguration:
     """Poisson process with discrete intensity: site e carries an
     independent Poisson(c) multiplicity, zero-count sites are omitted."""
@@ -282,7 +287,11 @@ def barycentre_shift(
     out = site_arr.copy()
     if eta.n_atoms:
         tree = cKDTree(site_arr)
-        dist, idx = tree.query(eta.points, k=1)
+        # a point within epsilon of a site has no other site within
+        # epsilon, so a bounded query finds the same site; the bound sits
+        # a hair above epsilon, so that rounding in the kd-tree's own cut
+        # cannot drop a point the open-ball test below keeps
+        dist, idx = tree.query(eta.points, k=1, distance_upper_bound=epsilon * (1.0 + 1e-9))
         near = dist < epsilon  # open ball
         if np.any(near):
             weights = eta.multiplicities[near].astype(float)

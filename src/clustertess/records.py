@@ -2,7 +2,9 @@
 
 Coordinates are written as 17-significant-digit decimals, which
 round-trip IEEE doubles exactly, and dictionary keys keep a fixed
-order, so identical runs produce byte-identical files.
+order, so identical runs produce byte-identical files. A record built
+by `make_record` holds its coordinates and multiplicities as numpy
+arrays, and each array's text is made in one formatting pass.
 """
 
 from __future__ import annotations
@@ -21,18 +23,40 @@ from .pointproc import PointConfiguration, Window
 from .tessellation import TessellationReport
 
 
+# the string encoder json.dumps uses
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"records hold finite numbers only, got {x}")
     return format(float(x), ".17g")
 
 
+def _array_text(value: np.ndarray) -> str:
+    """JSON text of an int or float array: nested lists, its values
+    formatted in one `%` pass ("%.17g" gives format(x, ".17g"))."""
+    item = "%d"
+    if value.dtype.kind == "f":
+        finite = np.isfinite(value)
+        if not finite.all():
+            _fmt_float(float(value[~finite][0]))  # raises the ValueError
+        item = "%.17g"
+    for size in reversed(value.shape):
+        item = "[" + ",".join([item] * size) + "]"
+    return item % tuple(value.ravel().tolist())
+
+
 def dumps_value(value) -> str:
     """Serialize to JSON text with deterministic float formatting."""
     if type(value) is float:  # exact types first: the bulk of a record
         return _fmt_float(value)
+    if type(value) is np.ndarray and value.dtype.kind in "fiu":
+        return _array_text(value)
     if type(value) is list:
         return "[" + ",".join(dumps_value(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{_encode_str(str(k))}:{dumps_value(v)}" for k, v in value.items()) + "}"
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -42,9 +66,7 @@ def dumps_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{dumps_value(v)}" for k, v in value.items()) + "}"
+        return _encode_str(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(dumps_value(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -93,13 +115,13 @@ def make_record(
     record = {
         "replication": int(replication),
         "window": window_to_dict(eta.window),
-        "points": eta.points.tolist(),
-        "multiplicities": [int(m) for m in eta.multiplicities],
+        "points": eta.points,
+        "multiplicities": eta.multiplicities,
         "clusters": None,
         "report": None,
     }
     if clusters is not None:
-        rows, ends = clusters.points.tolist(), clusters.offsets.tolist()
+        rows, ends = clusters.points, clusters.offsets.tolist()
         record["clusters"] = [
             {"points": rows[a:b], "boundary_uncertain": u}
             for a, b, u in zip(ends, ends[1:], clusters.uncertain.tolist())
@@ -122,12 +144,18 @@ def _is_coordinate_list(value) -> bool:
 
 
 def _is_point_list(value) -> bool:
-    """A list of coordinate lists, all of one length."""
+    """A list of coordinate lists, all of one length, or the (n, d)
+    float array `make_record` puts there."""
+    if type(value) is np.ndarray:
+        return value.ndim == 2 and value.dtype == np.float64
     return type(value) is list and all(map(_is_coordinate_list, value)) and len(set(map(len, value))) <= 1
 
 
 def _is_integer_list(value) -> bool:
-    """A list of ints that each fit an int64."""
+    """A list of ints that each fit an int64, or the int64 array
+    `make_record` puts there."""
+    if type(value) is np.ndarray:
+        return value.ndim == 1 and value.dtype == np.int64
     return type(value) is list and all(type(v) is int and -(2**63) <= v < 2**63 for v in value)
 
 
@@ -164,33 +192,39 @@ _REPORT_FIELDS = {
 }
 
 
+def _show(value) -> str:
+    """The start of a value's JSON text, for an error message; a value
+    JSON cannot hold, such as an array of an in-memory record, as str()."""
+    return json.dumps(value, default=str)[:40]
+
+
 def _check_shape(record) -> None:
     """Raise ValueError naming the first field of a parsed record whose
     JSON content `record_to_objects` cannot take: the points, the
     multiplicities, the window, each cluster (its points in the window's
     dimension) and the report included."""
     if type(record) is not dict:
-        raise ValueError(f"a record must be a JSON object, got {json.dumps(record)[:40]}")
+        raise ValueError(f"a record must be a JSON object, got {_show(record)}")
     for field, valid in _RECORD_FIELDS.items():
         if not valid(record.get(field)):
-            raise ValueError(f"record field {field!r} cannot be {json.dumps(record.get(field))[:40]}")
+            raise ValueError(f"record field {field!r} cannot be {_show(record.get(field))}")
     for key, valid in _WINDOW_FIELDS.items():
         value = record["window"].get(key)
         if not valid(value):
-            raise ValueError(f"record field 'window.{key}' cannot be {json.dumps(value)[:40]}")
+            raise ValueError(f"record field 'window.{key}' cannot be {_show(value)}")
     for k, entry in enumerate(record.get("clusters") or ()):
         if type(entry) is not dict:
-            raise ValueError(f"record field 'clusters[{k}]' must be a JSON object, got {json.dumps(entry)[:40]}")
+            raise ValueError(f"record field 'clusters[{k}]' must be a JSON object, got {_show(entry)}")
         for key, valid in _CLUSTER_FIELDS.items():
             value = entry.get(key)
             if not valid(value):
-                raise ValueError(f"record field 'clusters[{k}].{key}' cannot be {json.dumps(value)[:40]}")
-        if entry["points"] and len(entry["points"][0]) != len(record["window"]["low"]):
+                raise ValueError(f"record field 'clusters[{k}].{key}' cannot be {_show(value)}")
+        if len(entry["points"]) and len(entry["points"][0]) != len(record["window"]["low"]):
             raise ValueError(f"record field 'clusters[{k}].points' must have the window's dimension")
     report = record.get("report") or {}
     for key, valid in _REPORT_FIELDS.items():
         if key in report and not valid(report[key]):
-            raise ValueError(f"record field 'report.{key}' cannot be {json.dumps(report[key])[:40]}")
+            raise ValueError(f"record field 'report.{key}' cannot be {_show(report[key])}")
 
 
 def record_to_objects(

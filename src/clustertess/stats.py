@@ -23,7 +23,7 @@ import numpy as np
 from .clusterprops import ClusterProperty, extract_clusters
 from .cutproject import Chain, decompose_length
 from .pointproc import DiscreteIntensity, ProcessSampler, Window, sample_poisson_discrete, sample_poisson_homogeneous
-from .randomness import make_rng, mix_seed, poisson_count
+from .randomness import mix_seed, poisson_count, replication_rngs
 
 SIGMA_BAND = 4.0
 CHI2_SIGNIFICANCE = 1e-3
@@ -109,9 +109,11 @@ def poisson_count_test(
     """Chi-square GOF of replicated total counts against the Poisson law.
 
     `sampler` defaults to the homogeneous Poisson sampler with intensity
-    lam; passing a different process shows the test rejecting it. The
-    default draws each replication's count alone: the count is the
-    sampler's first draw, so the counts are the sampler's bit for bit.
+    lam; passing a different process shows the test rejecting it, and
+    it gets the int seeds mix_seed(seed, i). The default draws each
+    replication's count alone, from generators built in one batch
+    (`replication_rngs`): the count is the sampler's first draw, so the
+    counts are the sampler's bit for bit.
     """
     if n_reps < 1000:
         raise ValueError("need at least 1000 replications for the count GOF test")
@@ -119,7 +121,7 @@ def poisson_count_test(
     if sampler is not None:
         counts = [sampler(window, mix_seed(seed, i)).total_count for i in range(n_reps)]
     elif lam > 0.0:
-        counts = [poisson_count(make_rng(mix_seed(seed, i)), mean) for i in range(n_reps)]
+        counts = [poisson_count(rng, mean) for rng in replication_rngs(seed, n_reps)]
     else:
         raise ValueError(f"intensity must be positive, got {lam}")
     stat, threshold, dof = poisson_chi_square(counts, mean)
@@ -142,8 +144,8 @@ def occupation_test(c: float, n_sites: int, n_reps: int, seed: int) -> TestRepor
     rho = DiscreteIntensity(sites, c)
     window = Window((-1.0,), (float(n_sites),))
     occupied = 0
-    for i in range(n_reps):
-        occupied += sample_poisson_discrete(rho, mix_seed(seed, i), window=window).n_atoms
+    for rng in replication_rngs(seed, n_reps):
+        occupied += sample_poisson_discrete(rho, rng, window=window).n_atoms
     fraction = occupied / (n_sites * n_reps)
     target = 1.0 - math.exp(-c)
     se = math.sqrt(target * (1.0 - target) / (n_sites * n_reps))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 from scipy.stats import chi2
@@ -23,11 +23,14 @@ from clustertess import (
     poisson_chi_square,
     poisson_count,
     poisson_counts,
+    replication_rngs,
     sample_poisson_discrete,
     sample_poisson_homogeneous,
     splitmix64,
     support,
 )
+
+from clustertess.randomness import _seed_words
 
 from helpers import two_sample_chi_square
 
@@ -43,6 +46,43 @@ def test_mix_seed_distinct_streams():
     seeds = {mix_seed(12345, i) for i in range(2000)}
     assert len(seeds) == 2000
     assert mix_seed(1, 0) != mix_seed(2, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.integers(0, 2**64 - 1), n=st.integers(0, 40))
+@example(base=0, n=40)
+@example(base=2**64 - 1, n=40)
+def test_replication_rngs_match_make_rng(base, n):
+    batched = list(replication_rngs(base, n))
+    assert len(batched) == n
+    for i, rng in enumerate(batched):
+        alone = make_rng(mix_seed(base, i))
+        assert rng.bit_generator.state == alone.bit_generator.state
+        assert rng.random(3).tolist() == alone.random(3).tolist()
+        assert rng.integers(0, 2**63, 2).tolist() == alone.integers(0, 2**63, 2).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)), max_size=20))
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_seed_words_match_seed_sequence(seeds):
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+def test_samplers_use_a_given_generator_as_is():
+    rng = make_rng(77)
+    assert make_rng(rng) is rng
+    eta = sample_poisson_homogeneous(5.0, UNIT_SQUARE, rng)
+    alone = make_rng(77)
+    assert eta == sample_poisson_homogeneous(5.0, UNIT_SQUARE, alone)
+    assert rng.random() == alone.random()  # both drew the same uniforms
+    rho = DiscreteIntensity(tuple((float(i),) for i in range(50)), 0.7)
+    window = Window((-1.0,), (50.0,))
+    assert sample_poisson_discrete(rho, rng, window=window) == sample_poisson_discrete(rho, alone, window=window)
+    assert rng.random() == alone.random()
 
 
 def test_sampler_reproducible_and_seed_sensitive():
@@ -314,6 +354,31 @@ def test_barycentre_shift_one_point_per_site():
             out.points[:, None, :] - np.asarray(sites)[None, :, :], axis=2
         ), axis=1)[:, 0]
         assert np.all(dist < 0.4 + 1e-12)
+
+
+def test_barycentre_shift_matches_unbounded_nearest_site_query():
+    # points at and just inside distance epsilon of their sites, where a
+    # squared-distance cut could round either way
+    from scipy.spatial import cKDTree
+
+    window = Window((-10, -10), (10, 10))
+    sites = np.array([(float(i), float(j)) for i in range(-3, 4) for j in range(-3, 4)])
+    epsilon = 0.3
+    rng = np.random.default_rng(5)
+    angles = rng.random(400) * 2.0 * np.pi
+    radii = np.resize([epsilon, np.nextafter(epsilon, 0.0), epsilon * (1.0 - 1e-16), 0.1, 0.5], 400)
+    offsets = np.stack([np.cos(angles), np.sin(angles)], axis=1) * radii[:, None]
+    points = np.unique(sites[rng.integers(0, len(sites), 400)] + offsets, axis=0)
+    eta = PointConfiguration(points, rng.integers(1, 4, len(points)), window)
+    dist, idx = cKDTree(sites).query(eta.points, k=1)
+    near = dist < epsilon
+    sums = np.zeros_like(sites)
+    totals = np.zeros(len(sites))
+    np.add.at(sums, idx[near], eta.points[near] * eta.multiplicities[near, None])
+    np.add.at(totals, idx[near], eta.multiplicities[near].astype(float))
+    expected = sites.copy()
+    expected[totals > 0] = sums[totals > 0] / totals[totals > 0, None]
+    assert barycentre_shift(eta, sites, epsilon) == PointConfiguration(expected, None, window)
 
 
 def test_min_pairwise_distance():

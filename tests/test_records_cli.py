@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clustertess import (
     Cluster,
@@ -18,7 +21,9 @@ from clustertess import (
 )
 from clustertess.cli import main
 from clustertess.records import (
+    _fmt_float,
     dump_records,
+    dumps_value,
     make_record,
     parse_records,
     read_records_file,
@@ -44,6 +49,56 @@ def test_record_round_trip_bit_exact():
     assert report2 == report
     # serialization is stable under a second round trip
     assert dump_records(parsed) == text
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e22, 1e-7, 0.1, 1.0 / 3.0, 123456789012345680.0]
+
+
+def test_array_text_matches_scalar_format():
+    expected = "[" + ",".join(_fmt_float(x) for x in EDGE_FLOATS) + "]"
+    assert expected.startswith("[-0,0,4.9406564584124654e-324,")
+    assert dumps_value(np.array(EDGE_FLOATS)) == expected == dumps_value(EDGE_FLOATS)
+    grid = np.array(EDGE_FLOATS).reshape(6, 2)
+    assert dumps_value(grid) == dumps_value(grid.tolist())
+    assert dumps_value(np.empty((0, 2))) == "[]"
+    assert dumps_value(np.array([3, 1, 2**62], dtype=np.int64)) == "[3,1,4611686018427387904]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_array_text_matches_list_text(values):
+    assert dumps_value(values) == dumps_value(values.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_array_text_refuses_non_finite_numbers(bad):
+    with pytest.raises(ValueError) as scalar:
+        _fmt_float(bad)
+    with pytest.raises(ValueError) as array:
+        dumps_value(np.array([[0.5, 1.0], [bad, 2.0]]))
+    assert str(array.value) == str(scalar.value)
+
+
+def test_strings_and_keys_encode_as_json_dumps():
+    value = {"k\u00e9y\n": "a\"\u2603\\", "plain": "x"}
+    assert dumps_value(value) == json.dumps(value, separators=(",", ":"))
+
+
+def test_record_objects_read_from_an_unserialized_record():
+    window = Window((0.0, 0.0), (1.0, 1.0))
+    points = [(0.1, 0.2), (0.7, 0.3), (0.4, 0.9)]
+    eta = PointConfiguration(points, [1, 3, 2], window)
+    cfg = extract_clusters(delone_property(5.0), PointConfiguration(points, None, window))
+    assert len(cfg) == 1
+    record = make_record(0, eta, cfg)
+    eta2, cfg2, _ = record_to_objects(record)
+    assert eta2 == eta and cfg2 == cfg
+    assert record_to_objects(parse_records(dump_records([record]))[0])[:2] == (eta, cfg)
+    record["points"] = eta.points.astype(np.float32)
+    with pytest.raises(ValueError, match="record field 'points' cannot be"):
+        record_to_objects(record)
 
 
 def run_cli(*argv):
