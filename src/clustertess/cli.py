@@ -151,32 +151,34 @@ def cmd_sample(args) -> int:
     process = res.get("process", str, required=True)
     reps = res.get("replications", int, 1)
     seed = res.seed()
-    records = []
-    for i, rng in enumerate(replication_rngs(seed, reps)):
-        if process == "poisson":
-            lam = res.get("lambda", float, required=True)
-            eta = sample_poisson_homogeneous(lam, window, rng)
-        elif process == "poisson_discrete":
-            c = res.get("c", float, required=True)
-            rho = DiscreteIntensity(tuple(_silver_sites(window)), c)
-            eta = sample_poisson_discrete(rho, rng, window=window)
-        elif process == "lattice":
-            eta = deterministic_lattice(_silver_sites(window), window)
-        elif process == "barycentre":
-            lam = res.get("lambda", float, required=True)
-            epsilon = res.get("epsilon", float, required=True)
-            try:
-                inner = window.erode(epsilon)
-            except ValueError as exc:
-                raise ConfigError(f"epsilon too large for the window: {exc}") from exc
-            sites = _silver_sites(inner)
-            base = sample_poisson_homogeneous(lam, window, rng)
-            eta = barycentre_shift(base, sites, epsilon)
-        else:
-            raise ConfigError(f"unknown process {process!r}")
-        records.append(make_record(i, eta))
+    draw = _sampler(res, process, window)
+    records = [make_record(i, draw(rng)) for i, rng in enumerate(replication_rngs(seed, reps))]
     _emit(res.get("out", str), dump_records(records))
     return EXIT_OK
+
+
+def _sampler(res, process: str, window: Window):
+    """One draw of `process` in window from a generator; all else is resolved once."""
+    if process == "poisson":
+        lam = res.get("lambda", float, required=True)
+        return lambda rng: sample_poisson_homogeneous(lam, window, rng)
+    if process == "poisson_discrete":
+        c = res.get("c", float, required=True)
+        rho = DiscreteIntensity(tuple(_silver_sites(window)), c)
+        return lambda rng: sample_poisson_discrete(rho, rng, window=window)
+    if process == "lattice":
+        eta = deterministic_lattice(_silver_sites(window), window)
+        return lambda rng: eta
+    if process == "barycentre":
+        lam = res.get("lambda", float, required=True)
+        epsilon = res.get("epsilon", float, required=True)
+        try:
+            inner = window.erode(epsilon)
+        except ValueError as exc:
+            raise ConfigError(f"epsilon too large for the window: {exc}") from exc
+        sites = _silver_sites(inner)
+        return lambda rng: barycentre_shift(sample_poisson_homogeneous(lam, window, rng), sites, epsilon)
+    raise ConfigError(f"unknown process {process!r}")
 
 
 def _build_property(res, window: Window):

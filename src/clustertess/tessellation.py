@@ -8,7 +8,6 @@ separately, by Monte Carlo, with a reported standard error.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import NonSimplicialInput, UnsupportedDimension
 from .geometry import (
     EPS_GEOM,
-    SINGULAR_DET,
     Cluster,
     FaceRelation,
     circumballs,
@@ -80,15 +78,11 @@ def check_face_to_face(cfg: ClusterConfiguration) -> TessellationReport:
     one kd-tree query over the distinct vertices finds none but its own
     within r + m of its circumcentre: r its circumradius and m = 4 atol
     D / max(r_in, atol), D its longest edge and r_in its inradius, a
-    bound on how far the float circumcentre and the face test stray.
+    margin for the rounding of the float circumcentre.
 
-    A pair of certified simplices meets properly, unless it shares fewer
-    than d vertices and d of the two simplices' unit facet normals have
-    |det| from SINGULAR_DET / 2 up to 1e-5. The face test solves such a
-    subset and may land its vertex beyond tolerance, reading the pair as
-    improper; that verdict is kept until the test is exact. Those pairs
-    and every pair with an uncertified simplex are decided by
-    `face_relations`, the batched face test, in blocks of _BLOCK pairs.
+    Two certified simplices meet properly, so only pairs with an
+    uncertified simplex are formed. `face_relations`, the batched face
+    test, decides them in blocks of _BLOCK pairs.
 
     The returned report carries the improper pairs as (i, j) indices
     into cfg.clusters, i < j, in ascending order. Input that fails
@@ -109,13 +103,12 @@ def _violations(verts, centers, radii) -> Tuple[Tuple[int, int], ...]:
     if not m:
         return ()
     atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
-    i, j = _box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), atol)
     # above d = 3, the face test raises UnsupportedDimension on any pair
-    certified = _certified_pairs(verts, centers, radii, atol, i, j) if d <= 3 else np.zeros(len(i), dtype=bool)
-    todo = np.nonzero(~certified)[0]
+    loose = ~_certified(verts, centers, radii, atol) if d <= 3 else np.ones(m, dtype=bool)
+    i, j = _box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), atol, loose)
     improper = np.zeros(len(i), dtype=bool)
-    for s in range(0, len(todo), _BLOCK):
-        k = todo[s : s + _BLOCK]
+    for s in range(0, len(i), _BLOCK):
+        k = slice(s, s + _BLOCK)
         improper[k] = face_relations(verts[i[k]], verts[j[k]]) == FaceRelation.IMPROPER.value
     return tuple(zip(i[improper].tolist(), j[improper].tolist()))
 
@@ -124,28 +117,32 @@ def _violations(verts, centers, radii) -> Tuple[Tuple[int, int], ...]:
 _BLOCK = 4096
 # swept box pairs tested per block, which bounds the sweep's memory
 _SWEEP_BLOCK = 1 << 20
-# the face test solves each d-subset of two simplices' facet planes
-# whose unit normals have |det| >= SINGULAR_DET; below this bound such
-# a solve can land up to 1e-7 off, beyond its tolerance
-_WELL_CONDITIONED_DET = 1e-5
 # the vertices of each facet of a tetrahedron; facet k omits vertex k,
 # as in `facet_planes`
 _TETRAHEDRON_FACETS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
-def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float):
+def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float, loose: np.ndarray):
     """Index pairs (i, j), i < j, ascending, whose boxes overlap within
-    atol. The x sweep's pairs are tested in blocks of at most about
-    _SWEEP_BLOCK, and only the kept ones are gathered."""
+    atol and not both outside the mask `loose`. The sweep on the lowest x
+    takes each loose box with every box after it, any other box with the
+    loose boxes after it only, and tests its pairs in blocks of at most
+    about _SWEEP_BLOCK, gathering only the kept ones."""
+    n = len(lows)
     order = np.argsort(lows[:, 0], kind="stable")
-    start = np.arange(1, len(order) + 1)
+    rank = np.arange(1, n + 1)
     # 2 atol: a superset of the exact test below, whatever its rounding
     stop = np.searchsorted(lows[order, 0], highs[order, 0] + 2 * atol, side="right")
-    counts = np.maximum(stop - start, 0)
+    # positions in x order: all n, then those of the loose boxes
+    swept = loose[order]
+    loose_at = np.flatnonzero(swept)
+    space = np.concatenate([np.arange(n), loose_at])
+    first = np.where(swept, rank, n + np.searchsorted(loose_at, rank))
+    counts = np.maximum(np.where(swept, stop, n + np.searchsorted(loose_at, stop)) - first, 0)
     kept_i, kept_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for block in _blocks(counts, _SWEEP_BLOCK):
         a = order[np.repeat(np.arange(block.start, block.stop), counts[block])]
-        b = order[_ranges(start[block], counts[block])]
+        b = order[space[_ranges(first[block], counts[block])]]
         i, j = np.minimum(a, b), np.maximum(a, b)
         keep = np.all((lows[j] <= highs[i] + atol) & (highs[j] >= lows[i] - atol), axis=1)
         kept_i.append(i[keep])
@@ -155,45 +152,20 @@ def _box_overlap_pairs(lows: np.ndarray, highs: np.ndarray, atol: float):
     return i[ranked], j[ranked]
 
 
-def _certified_pairs(verts, centers, radii, atol: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Per pair (verts[i[p]], verts[j[p]]) of simplices, d <= 3, with
-    their circumballs: whether the certificate of `check_face_to_face`
-    proves that it meets properly."""
+def _certified(verts, centers, radii, atol: float) -> np.ndarray:
+    """Per simplex, d <= 3, with its circumball: whether the certificate
+    of `check_face_to_face` holds for it."""
     from scipy.spatial import cKDTree
 
-    m, n, d = verts.shape
-    normals, units, _ = facet_planes(verts)
+    n, d = verts.shape[1:]
+    normals = facet_planes(verts)[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # subnormal edges
         volume = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))  # d! times the volume
         inradius = volume / np.linalg.norm(normals, axis=-1).sum(axis=1)
     longest = np.linalg.norm(verts[:, :, None] - verts[:, None], axis=-1).max(axis=(1, 2))
     reach = radii + 4.0 * atol * longest / np.maximum(inradius, atol)
-    distinct, index = np.unique(verts.reshape(-1, d), axis=0, return_inverse=True)
-    index = index.reshape(m, n)
-    found = cKDTree(distinct).query_ball_point(centers, reach, return_length=True)
-    certified = found == n  # its own vertices only
-    proper = certified[i] & certified[j]
-    shared = (index[i][:, :, None] == index[j][:, None]).sum(axis=(1, 2))
-    loose = np.nonzero(proper & (shared < d))[0]
-    subsets = np.array(list(itertools.combinations(range(2 * n), d)))
-    for s in range(0, len(loose), _BLOCK):
-        p = loose[s : s + _BLOCK]
-        axes = np.concatenate([units[i[p]], units[j[p]]], axis=1)
-        det = np.abs(_small_det(axes[:, subsets]))
-        proper[p] = np.all((det < SINGULAR_DET / 2) | (det >= _WELL_CONDITIONED_DET), axis=1)
-    return proper
-
-
-def _small_det(a: np.ndarray) -> np.ndarray:
-    """The determinants of the trailing d x d matrices of a, d <= 3, in
-    closed form. They differ from LU's by rounding, which the guard's
-    margins on both sides of its band absorb."""
-    d = a.shape[-1]
-    if d == 1:
-        return a[..., 0, 0]
-    if d == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return (a[..., 0, :] * np.cross(a[..., 1, :], a[..., 2, :])).sum(axis=-1)
+    distinct = np.unique(verts.reshape(-1, d), axis=0)
+    return cKDTree(distinct).query_ball_point(centers, reach, return_length=True) == n  # its own vertices only
 
 
 def hull_contains_points(cluster: Cluster, queries: np.ndarray) -> np.ndarray:

@@ -16,7 +16,9 @@ scan every point; `circumball_scalar`, the scalar elimination, checks
 the batched `circumballs` bit for bit; `facet_halfspaces_scalar`, one
 facet plane at a time, checks the batched `facet_planes` bit for bit;
 `common_face_check_scalar` checks the batched `face_relations` pair by
-pair; the per-cluster hull test and coverage loop check the batched
+pair, and `lifting_proper_exact`, the empty-circumball certificate in
+exact rational arithmetic, decides the pairs the validator's float
+certificate settles where the tolerant test disagrees; the per-cluster hull test and coverage loop check the batched
 coverage kernel bit for bit; `delone_table_two_pass`, candidate growth
 and emptiness in two passes, checks the one-pass `_delone_table` bit for
 bit; and `voronoi_cells_loop`, one Python loop over the cells, checks
@@ -27,6 +29,7 @@ import itertools
 import math
 import sys
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -267,6 +270,49 @@ def face_to_face_violations_all_pairs(cfg):
         for i, j in itertools.combinations(range(len(cfg.clusters)), 2)
         if common_face_check_scalar(cfg.clusters[i], cfg.clusters[j]) is FaceRelation.IMPROPER
     )
+
+
+def lifting_proper_exact(x, y):
+    """True when the lifting argument proves that simplices x and y, d+1
+    points each in R^d, meet exactly in their shared face, in exact
+    rational arithmetic; False proves nothing.
+
+    Vertices are shared when their coordinates are equal. Every unshared
+    vertex v of one simplex must lie strictly outside the other's
+    circumsphere: with the rows (p, |p|^2, 1) of that simplex's vertices
+    and then of v, the lifted determinant times the orientation
+    determinant of the rows (p, 1) is negative exactly then."""
+    x, y = ([tuple(Fraction(float(c)) for c in p) for p in s] for s in (x, y))
+    shared = set(x) & set(y)
+    for simplex, other in ((x, y), (y, x)):
+        orient = _det_exact([[*p, 1] for p in simplex])
+        if orient == 0:
+            return False
+        for v in other:
+            if v in shared:
+                continue
+            lifted = _det_exact([[*p, sum(c * c for c in p), 1] for p in (*simplex, v)])
+            if lifted * orient >= 0:
+                return False
+    return True
+
+
+def _det_exact(rows):
+    """The determinant of a square matrix of Fractions, by elimination."""
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [u - f * w for u, w in zip(a[r], a[k])]
+    return det
 
 
 def common_face_check_scalar(x, y):

@@ -192,6 +192,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     # config errors
     assert run_cli("sample", "--process", "nonsense", "--window", "0,0,1,1") == 1
     assert run_cli("sample", "--process", "poisson", "--window", "0,0,1,1") == 1  # missing lambda
+    # options are resolved before the first replication, so also with none
+    assert run_cli("sample", "--process", "nonsense", "--window", "0,0,1,1", "--replications", "0") == 1
+    assert run_cli("sample", "--process", "poisson", "--window", "0,0,1,1", "--replications", "0") == 1
     assert run_cli("tessellate", "--in", str(tmp_path / "missing.ndjson"), "--property", "delone", "--radius-cap", "1") == 1
     assert run_cli("sample", "--process", "poisson", "--lambda", "5", "--window", "bad") == 1
     assert run_cli("chain", "--variant", "thinned", "--c", "0.5", "--range", "0", "x") == 1

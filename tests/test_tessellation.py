@@ -21,6 +21,7 @@ from clustertess import (
     check_face_to_face,
     check_simplicial,
     circumballs,
+    common_face_check,
     covered_fraction,
     delone_property,
     extract_clusters,
@@ -33,7 +34,7 @@ from clustertess import (
     voronoi_property,
 )
 from clustertess import tessellation
-from clustertess.geometry import face_relations, facet_planes
+from clustertess.geometry import FaceRelation, face_relations, facet_planes
 
 from helpers import (
     barycentric_inside,
@@ -42,6 +43,7 @@ from helpers import (
     face_to_face_violations_all_pairs,
     facet_halfspaces_scalar,
     hull_contains_points_scalar,
+    lifting_proper_exact,
 )
 
 UNIT = Window((0.0, 0.0), (1.0, 1.0))
@@ -166,6 +168,20 @@ CROSS_AXIS_PAIR = pair(
 NEAR_EDGE_PAIR = pair([(0, 0), (1, 0), (0, 1)], [(0.5 + 1e-9, 0.5 + 1e-9), (1, 1), (1, 0.6)])
 # distinct vertices, 0 and 1.7e-234, whose distance squared underflows to 0
 UNDERFLOW_PAIR = pair([(0.0,), (0.013,)], [(-0.013,), (1.7e-234,)])
+# a certified sliver sharing an edge with a fat tetrahedron: the
+# tolerant face test misplaces a vertex of a near-singular facet triple
+# and reads the pair improper
+SLIVER_PAIR = pair(
+    [(-1e-08, 1e-09, 1.5000001), (-1e-08, 0.500000001, 1.5), (0.4999999999, 0.50000000001, 1.50000000001), (0.500000001, 1e-07, 1.500000001)],
+    [(-1e-08, 0.500000001, 1.5), (-1e-10, 0.5000001, 1.0), (1e-07, 1.0, 1.4999999999), (0.4999999999, 0.50000000001, 1.50000000001)],
+)
+
+
+def _certified(cfg):
+    """The validator's certificate of each simplex of cfg."""
+    verts, centers, radii = tessellation._circumscribed(cfg)
+    atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
+    return tessellation._certified(verts, centers, radii, atol)
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,9 +189,18 @@ UNDERFLOW_PAIR = pair([(0.0,), (0.013,)], [(-0.013,), (1.7e-234,)])
 @example(cfg=CROSS_AXIS_PAIR)
 @example(cfg=NEAR_EDGE_PAIR)
 @example(cfg=UNDERFLOW_PAIR)
+@example(cfg=SLIVER_PAIR)
 def test_face_to_face_matches_all_pairs_oracle(cfg):
+    # the validator reports only what the tolerant oracle reports; a pair
+    # only the oracle reports joins two certified simplices, and exact
+    # arithmetic proves it proper
     got = check_face_to_face(cfg).violations
-    assert got == face_to_face_violations_all_pairs(cfg), [c.points for c in cfg.clusters]
+    want = face_to_face_violations_all_pairs(cfg)
+    assert set(got) <= set(want), [c.points for c in cfg.clusters]
+    certified = _certified(cfg) if cfg.clusters else []
+    for i, j in set(want) - set(got):
+        assert certified[i] and certified[j], (i, j)
+        assert lifting_proper_exact(cfg.clusters[i].points, cfg.clusters[j].points), (i, j)
 
 
 @settings(max_examples=300, deadline=None)
@@ -199,14 +224,24 @@ def _count_kernel_pairs(monkeypatch):
 
 
 def test_certificate_decides_delone_output(monkeypatch):
-    # every pair of certain Delone triangles is certified from the empty
-    # circumballs, so none reaches the face test
+    # every certain Delone triangle is certified from its empty
+    # circumball, so the sweep forms no pair and none reaches the face test
     sent = _count_kernel_pairs(monkeypatch)
+    swept = []
+    kernel = tessellation._box_overlap_pairs
+
+    def sweep(*args):
+        pairs = kernel(*args)
+        swept.append(len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(tessellation, "_box_overlap_pairs", sweep)
     for rep in range(4):
         eta = sample_poisson_homogeneous(200.0, UNIT, mix_seed(211, rep))
         cfg = extract_clusters(delone_property(0.1), eta).certain()
         assert len(cfg) > 250
         assert check_face_to_face(cfg).face_to_face
+    assert swept == [0] * 4
     assert sent == []
 
 
@@ -223,40 +258,36 @@ def test_certificate_leaves_near_cospherical_pairs_to_the_face_test(monkeypatch)
     assert sent == [1]
 
 
-def test_guard_determinants_match_lu():
-    # the guard's closed-form determinants against LU's, on unit rows as
-    # the facet normals are, within 64 ulps of 1 (|det| <= 1 there)
-    rng = make_rng(3)
-    for d in (1, 2, 3):
-        a = rng.normal(size=(2000, d, d))
-        a /= np.linalg.norm(a, axis=-1, keepdims=True)
-        a[:100, -1] = a[:100, 0]  # exactly singular
-        got = tessellation._small_det(a)
-        with np.errstate(divide="ignore"):  # LU takes the log of a zero pivot
-            want = np.linalg.det(a)
-        assert np.allclose(got, want, rtol=0.0, atol=64 * np.finfo(float).eps)
+def test_certified_sliver_pair_is_proper():
+    # the tolerant face test reads the pair improper; both simplices are
+    # certified, and exact arithmetic proves the pair proper
+    x, y = (c.points for c in SLIVER_PAIR.clusters)
+    assert _certified(SLIVER_PAIR).all()
+    assert common_face_check(*SLIVER_PAIR.clusters) is FaceRelation.IMPROPER
+    assert lifting_proper_exact(x, y)
+    assert check_face_to_face(SLIVER_PAIR).violations == ()
 
 
-def test_guard_flags_match_lu(monkeypatch):
-    # certified pairs with the guard's determinants taken by LU instead:
-    # the same pairs go on to the face test
+def test_jittered_grid_certified_pairs_are_proven_proper():
+    # every overlapping pair of certified tetrahedra that the tolerant
+    # face test reads improper is proper, and none is reported
     rng = make_rng(0)
     offsets = np.array([0.0, 0.0, 1e-11, -1e-10, 1e-9, -1e-8, 1e-7])
     grid = np.stack(np.meshgrid(*[np.arange(4) * 0.5] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     jittered = PointConfiguration(grid + rng.choice(offsets, size=grid.shape), None, Window((-1.0,) * 3, (3.0,) * 3))
-    delone = sample_poisson_homogeneous(200.0, UNIT, mix_seed(211, 0))
-    for cfg in (
-        extract_clusters(delone_property(1.0), jittered),
-        extract_clusters(delone_property(0.1), delone).certain(),
-    ):
-        verts, centers, radii = tessellation._circumscribed(cfg)
-        atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
-        i, j = tessellation._box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), atol)
-        got = tessellation._certified_pairs(verts, centers, radii, atol, i, j)
-        with monkeypatch.context() as patch, np.errstate(divide="ignore"):
-            patch.setattr(tessellation, "_small_det", np.linalg.det)
-            want = tessellation._certified_pairs(verts, centers, radii, atol, i, j)
-        assert np.array_equal(got, want)
+    cfg = extract_clusters(delone_property(1.0), jittered)
+    verts, centers, radii = tessellation._circumscribed(cfg)
+    certified = _certified(cfg)
+    atol = EPS_GEOM * max(1.0, float(np.abs(verts).max()))
+    i, j = tessellation._box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), atol, np.ones(len(verts), dtype=bool))
+    both = certified[i] & certified[j]
+    i, j = i[both], j[both]
+    improper = face_relations(verts[i], verts[j]) == FaceRelation.IMPROPER.value
+    assert improper.sum() == 41
+    for a, b in zip(i[improper], j[improper]):
+        assert lifting_proper_exact(verts[a], verts[b]), (a, b)
+    reported = set(check_face_to_face(cfg).violations)
+    assert not reported & set(zip(i[improper].tolist(), j[improper].tolist()))
 
 
 def test_face_to_face_singular_facet_subsets_warn_nothing():
@@ -374,17 +405,21 @@ def test_face_to_face_tetrahedra_sharing_an_edge():
 
 
 def test_box_overlap_pairs_blocks_match_one_sweep(monkeypatch):
+    # the sweep against brute force: every overlapping pair with a loose box
     rng = make_rng(5)
     lows = rng.random((300, 2)) * 4
     highs = lows + rng.random((300, 2)) * 0.6
     atol = 1e-9
     i, j = np.triu_indices(len(lows), 1)
-    keep = np.all((lows[j] <= highs[i] + atol) & (highs[j] >= lows[i] - atol), axis=1)
-    want = (i[keep], j[keep])
-    for cap in (1, 7, 1 << 20):
-        monkeypatch.setattr(tessellation, "_SWEEP_BLOCK", cap)
-        got = tessellation._box_overlap_pairs(lows, highs, atol)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    overlap = np.all((lows[j] <= highs[i] + atol) & (highs[j] >= lows[i] - atol), axis=1)
+    masks = (np.ones(len(lows), dtype=bool), np.zeros(len(lows), dtype=bool), rng.random(len(lows)) < 0.1)
+    for loose in masks:
+        keep = overlap & (loose[i] | loose[j])
+        want = (i[keep], j[keep])
+        for cap in (1, 7, 1 << 20):
+            monkeypatch.setattr(tessellation, "_SWEEP_BLOCK", cap)
+            got = tessellation._box_overlap_pairs(lows, highs, atol, loose)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_covered_fraction_full_and_empty():
