@@ -19,16 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import AmbiguousDecomposition, DuplicatePoints, EpsilonTooLarge
 from .geometry import EPS_GEOM
-from .pointproc import (
-    DiscreteIntensity,
-    ProcessSampler,
-    Window,
-    barycentre_shift,
-    sample_poisson_discrete,
-    support,
-)
+from .pointproc import DiscreteIntensity, ProcessSampler, Window, barycentre_shift, sample_poisson_discrete
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,34 +74,52 @@ class Chain:
         return len(self.vertices)
 
 
+def _embed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.column_stack((u + v * SQRT2, u - v * SQRT2))
+
+
+def _indices(u: np.ndarray, v: np.ndarray) -> List[LatticeIndex]:
+    return [LatticeIndex(a, b) for a, b in zip(u.tolist(), v.tolist())]
+
+
+def _lattice_box(low: Sequence[float], high: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The (u, v) int64 arrays of the lattice points embedded in the
+    closed, finite box [low, high], ordered by v, then u. x - y =
+    2 v sqrt(2) bounds v, and x and y then bound u; both integer ranges
+    reach one index further on each side, so rounding cannot drop a
+    point, and the embedding is tested as `LatticeIndex.embed` evaluates it."""
+    (x_lo, y_lo), (x_hi, y_hi) = low, high
+    step = 2.0 * SQRT2
+    v = np.arange(math.ceil((x_lo - y_hi) / step) - 1, math.floor((x_hi - y_lo) / step) + 2, dtype=np.int64)
+    shift = v * SQRT2
+    u_min = np.ceil(np.maximum(x_lo - shift, y_lo + shift)).astype(np.int64) - 1
+    u_max = np.floor(np.minimum(x_hi - shift, y_hi + shift)).astype(np.int64) + 1
+    counts = np.maximum(u_max - u_min + 1, 0)
+    starts = np.cumsum(counts) - counts
+    u = np.repeat(u_min - starts, counts) + np.arange(counts.sum(), dtype=np.int64)
+    v = np.repeat(v, counts)
+    x, y = _embed(u, v).T
+    keep = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
+    return u[keep], v[keep]
+
+
+def _band(x_lo: float, x_hi: float, half_width: float) -> Tuple[np.ndarray, np.ndarray]:
+    """`band_points` as (u, v) index arrays, in its order."""
+    if not -math.inf < x_lo < x_hi < math.inf:
+        raise ValueError(f"need finite x_lo < x_hi, got [{x_lo}, {x_hi}]")
+    tol = EPS_GEOM * max(1.0, abs(x_lo), abs(x_hi), half_width)
+    u, v = _lattice_box((x_lo - tol, -(half_width + tol)), (x_hi + tol, half_width + tol))
+    # by projection; ties keep the v-then-u order of the box
+    order = np.lexsort((u, v, u + v * SQRT2))
+    return u[order], v[order]
+
+
 def band_points(x_lo: float, x_hi: float, half_width: float) -> List[LatticeIndex]:
     """Lattice indices with projection in [x_lo, x_hi] and internal
-    projection within +-half_width (boundary inclusive within EPS_GEOM,
-    relative).
-
-    Enumeration is exact: v runs over the integer range forced by the
-    two constraints combined, and for each v only the one or two
-    admissible u survive the final floating-point test.
-    """
-    if not x_lo < x_hi:
-        raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    out = []
-    # pi - pi_star = 2 v sqrt(2), so v is confined to this range
-    v_min = math.ceil((x_lo - half_width) / (2.0 * SQRT2)) - 1
-    v_max = math.floor((x_hi + half_width) / (2.0 * SQRT2)) + 1
-    tol = EPS_GEOM * max(1.0, abs(x_lo), abs(x_hi), half_width)
-    for v in range(v_min, v_max + 1):
-        shift = v * SQRT2
-        # intersect u + shift in [x_lo, x_hi] with |u - shift| <= half_width
-        u_min = math.ceil(max(x_lo - shift, shift - half_width) - tol)
-        u_max = math.floor(min(x_hi - shift, shift + half_width) + tol)
-        for u in range(u_min, u_max + 1):
-            pi = u + shift
-            pi_star = u - shift
-            if x_lo - tol <= pi <= x_hi + tol and abs(pi_star) <= half_width + tol:
-                out.append(LatticeIndex(u, v))
-    out.sort(key=lambda e: e.pi)
-    return out
+    projection within +-half_width, sorted by projection: the points of
+    `_lattice_box` on the band grown by EPS_GEOM (relative) on each side.
+    The range must be finite with x_lo < x_hi."""
+    return _indices(*_band(x_lo, x_hi, half_width))
 
 
 def strip_points(x_lo: float, x_hi: float) -> List[LatticeIndex]:
@@ -134,7 +147,8 @@ def chain_from_points(xs: Sequence[float]) -> Chain:
 
 def deterministic_chain(x_lo: float, x_hi: float) -> Chain:
     """The silver-mean chain itself: projections of the strip lattice."""
-    return chain_from_points([e.pi for e in strip_points(x_lo, x_hi)])
+    u, v = _band(x_lo, x_hi, STRIP_HALF_WIDTH)
+    return chain_from_points((u + v * SQRT2).tolist())
 
 
 def _strip_window(x_lo: float, x_hi: float, pad: float) -> Window:
@@ -155,13 +169,10 @@ def thinned_chain(c: float, x_lo: float, x_hi: float, seed: int) -> Chain:
     """
     if c <= 0.0:
         raise ValueError(f"per-site mass must be positive, got {c}")
-    sites = strip_points(x_lo, x_hi)
-    if not sites:
-        return Chain(())
-    rho = DiscreteIntensity(tuple(e.embed() for e in sites), c)
+    rho = DiscreteIntensity(_embed(*_band(x_lo, x_hi, STRIP_HALF_WIDTH)), c)
     eta = sample_poisson_discrete(rho, seed, window=_strip_window(x_lo, x_hi, 1.0))
-    kept = support(eta)
-    return chain_from_points(kept.points[:, 0].tolist())
+    # the atoms are the occupied sites, each once
+    return chain_from_points(eta.points[:, 0].tolist())
 
 
 def shifted_chain(epsilon: float, base: ProcessSampler, x_lo: float, x_hi: float, seed: int) -> Chain:
@@ -182,19 +193,13 @@ def shifted_chain(epsilon: float, base: ProcessSampler, x_lo: float, x_hi: float
         raise EpsilonTooLarge(
             f"epsilon = {epsilon} reaches half the minimal lattice distance {MIN_LATTICE_DISTANCE / 2}"
         )
-    sites = band_points(x_lo - epsilon, x_hi + epsilon, STRIP_HALF_WIDTH + epsilon)
-    if not sites:
-        return Chain(())
+    sites = _embed(*_band(x_lo - epsilon, x_hi + epsilon, STRIP_HALF_WIDTH + epsilon))
     window = _strip_window(x_lo, x_hi, 2.0 * epsilon + 0.5)
     eta = base(window, seed)
-    shifted = barycentre_shift(eta, [e.embed() for e in sites], epsilon)
+    x, y = barycentre_shift(eta, sites, epsilon).points.T
     tol = EPS_GEOM * max(1.0, abs(x_lo), abs(x_hi))
-    xs = [
-        float(p[0])
-        for p in shifted.points
-        if abs(p[1]) <= STRIP_HALF_WIDTH + tol and x_lo - tol <= p[0] <= x_hi + tol
-    ]
-    return chain_from_points(xs)
+    keep = (np.abs(y) <= STRIP_HALF_WIDTH + tol) & (x >= x_lo - tol) & (x <= x_hi + tol)
+    return chain_from_points(x[keep].tolist())
 
 
 def decompose_length(
@@ -223,21 +228,10 @@ def decompose_length(
 
 
 def lattice_sites_in_window(window: Window) -> List[LatticeIndex]:
-    """All lattice indices whose embedded point lies in a planar window."""
+    """All lattice indices whose embedded point lies in a planar window,
+    boundary included, sorted by (u, v)."""
     if window.dimension != 2:
         raise ValueError("the lattice is planar; need a 2D window")
-    x_lo, y_lo = window.low
-    x_hi, y_hi = window.high
-    out = []
-    u_min = math.ceil((x_lo + y_lo) / 2.0) - 1
-    u_max = math.floor((x_hi + y_hi) / 2.0) + 1
-    for u in range(u_min, u_max + 1):
-        v_lo = max(x_lo - u, u - y_hi) / SQRT2
-        v_hi = min(x_hi - u, u - y_lo) / SQRT2
-        for v in range(math.ceil(v_lo), math.floor(v_hi) + 1):
-            e = LatticeIndex(u, v)
-            x, y = e.embed()
-            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
-                out.append(e)
-    out.sort()
-    return out
+    u, v = _lattice_box(window.low, window.high)
+    order = np.lexsort((v, u))
+    return _indices(u[order], v[order])

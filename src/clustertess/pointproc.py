@@ -189,15 +189,14 @@ class DiscreteIntensity:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sites", tuple(tuple(float(x) for x in s) for s in self.sites)
-        )
+        # a copy, so that freezing it leaves a caller's array writable
+        site_array = np.array(self.sites, dtype=float)
+        object.__setattr__(self, "sites", tuple(map(tuple, site_array.tolist())))
         if self.c <= 0.0:
             raise ValueError(f"per-site mass must be positive, got {self.c}")
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("intensity sites must be pairwise distinct")
         # derived once; a plain attribute, so not part of eq, hash or repr
-        site_array = np.asarray(self.sites, dtype=float)
         site_array.setflags(write=False)
         object.__setattr__(self, "_site_array", site_array)
 

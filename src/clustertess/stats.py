@@ -22,6 +22,7 @@ import numpy as np
 
 from .clusterprops import ClusterProperty, extract_clusters
 from .cutproject import Chain, decompose_length
+from .errors import AmbiguousDecomposition
 from .pointproc import DiscreteIntensity, ProcessSampler, Window, sample_poisson_discrete, sample_poisson_homogeneous
 from .randomness import mix_seed, poisson_count, replication_rngs
 
@@ -201,11 +202,12 @@ def cluster_intensity_scan(
         raise ValueError("need at least two replications per window size")
     means: List[float] = []
     ses: List[float] = []
-    for wi, size in enumerate(window_sizes):
+    rngs = replication_rngs(seed, len(window_sizes) * n_reps)
+    for size in window_sizes:
         window = Window((0.0,) * dimension, (float(size),) * dimension)
         rates = []
-        for rep in range(n_reps):
-            eta = sample_poisson_homogeneous(lam, window, mix_seed(seed, wi * n_reps + rep))
+        for _ in range(n_reps):
+            eta = sample_poisson_homogeneous(lam, window, next(rngs))
             certain = extract_clusters(prop, eta).certain()
             if certain.certainty_radii is None:
                 rates.append(len(certain) / window.volume())
@@ -253,19 +255,21 @@ class TileHistogram:
 
 
 def tile_length_histogram(chain: Chain, tol: float) -> TileHistogram:
-    from .errors import AmbiguousDecomposition
-
+    """Classify the chain's tiles in order, decomposing each distinct length once."""
     counts: Counter = Counter()
     undecomposed: List[float] = []
     ambiguous: List[float] = []
+    outcomes: Dict[float, object] = {}
     for length in chain.tiles:
-        n_max = int(math.ceil(length + tol)) + 1
-        try:
-            pair = decompose_length(length, n_max, tol)
-        except AmbiguousDecomposition:
+        if length not in outcomes:
+            try:
+                outcomes[length] = decompose_length(length, int(math.ceil(length + tol)) + 1, tol)
+            except AmbiguousDecomposition:
+                outcomes[length] = "ambiguous"
+        pair = outcomes[length]
+        if pair == "ambiguous":
             ambiguous.append(length)
-            continue
-        if pair is None:
+        elif pair is None:
             undecomposed.append(length)
         else:
             counts[pair] += 1

@@ -22,7 +22,9 @@ certificate settles where the tolerant test disagrees; the per-cluster hull test
 coverage kernel bit for bit; `delone_table_two_pass`, candidate growth
 and emptiness in two passes, checks the one-pass `_delone_table` bit for
 bit; and `voronoi_cells_loop`, one Python loop over the cells, checks
-the array pass of `_voronoi_cells` bit for bit.
+the array pass of `_voronoi_cells` bit for bit; and
+`lattice_box_exhaustive`, every (u, v) of a generous rectangle tested
+through `LatticeIndex.embed`, checks the array lattice enumeration.
 """
 
 import itertools
@@ -42,6 +44,7 @@ from clustertess import (
     ClusterConfiguration,
     DegenerateSimplex,
     EPS_GEOM,
+    LatticeIndex,
     UnsupportedDimension,
     is_discrete_polytope,
     make_rng,
@@ -657,3 +660,20 @@ def decompose_length_double_loop(length, n_max, tol):
             f"length {length} matches {hits} within tol = {tol}"
         )
     return hits[0]
+
+
+def lattice_box_exhaustive(low, high):
+    """The (u, v) of the silver-mean lattice points whose embedding lies
+    in the closed box [low, high], sorted by u, then v: every index pair
+    of a rectangle two indices wider than u = (x + y) / 2 and
+    v = (x - y) / (2 sqrt 2) need, tested through `LatticeIndex.embed`."""
+    (x_lo, y_lo), (x_hi, y_hi) = low, high
+    us = range(math.floor((x_lo + y_lo) / 2) - 2, math.ceil((x_hi + y_hi) / 2) + 3)
+    vs = range(math.floor((x_lo - y_hi) / (2 * SQRT2)) - 2, math.ceil((x_hi - y_lo) / (2 * SQRT2)) + 3)
+    out = []
+    for u in us:
+        for v in vs:
+            x, y = LatticeIndex(u, v).embed()
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+                out.append((u, v))
+    return out

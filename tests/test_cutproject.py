@@ -3,10 +3,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clustertess import (
+    EPS_GEOM,
     STRIP_HALF_WIDTH,
     SQRT2,
     AmbiguousDecomposition,
@@ -15,10 +16,12 @@ from clustertess import (
     EpsilonTooLarge,
     LatticeIndex,
     PointConfiguration,
+    Window,
     band_points,
     chain_from_points,
     decompose_length,
     deterministic_chain,
+    lattice_sites_in_window,
     mix_seed,
     sample_poisson_homogeneous,
     shifted_chain,
@@ -26,22 +29,22 @@ from clustertess import (
     thinned_chain,
 )
 
-from helpers import decompose_length_double_loop
+from helpers import decompose_length_double_loop, lattice_box_exhaustive
 
 
 def empty_process(window, seed):
     return PointConfiguration(np.empty((0, window.dimension)), None, window)
 
 
-def exhaustive_strip(x_lo, x_hi, bound=60):
-    out = []
-    for u in range(-bound, bound + 1):
-        for v in range(-bound, bound + 1):
-            pi = u + v * SQRT2
-            pi_star = u - v * SQRT2
-            if x_lo <= pi <= x_hi and abs(pi_star) <= STRIP_HALF_WIDTH:
-                out.append((u, v))
-    return sorted(out, key=lambda uv: uv[0] + uv[1] * SQRT2)
+def band_exhaustive(x_lo, x_hi, half_width, tol=0.0):
+    """The (u, v) of `band_points` from the exhaustive box oracle, grown by
+    tol, in band order: by projection, then v, then u."""
+    box = lattice_box_exhaustive((x_lo - tol, -(half_width + tol)), (x_hi + tol, half_width + tol))
+    return sorted(box, key=lambda uv: (uv[0] + uv[1] * SQRT2, uv[1], uv[0]))
+
+
+def exhaustive_strip(x_lo, x_hi):
+    return band_exhaustive(x_lo, x_hi, STRIP_HALF_WIDTH)
 
 
 def test_strip_points_origin_only():
@@ -50,7 +53,7 @@ def test_strip_points_origin_only():
 
 def test_strip_points_zero_to_four():
     got = [(e.u, e.v) for e in strip_points(0.0, 4.0)]
-    assert got == exhaustive_strip(0.0, 4.0, bound=10)
+    assert got == exhaustive_strip(0.0, 4.0)
     assert got == [(0, 0), (1, 1), (2, 1)]
     assert [e.pi for e in strip_points(0.0, 4.0)] == pytest.approx(
         [0.0, 1 + SQRT2, 2 + SQRT2], abs=1e-12
@@ -59,7 +62,7 @@ def test_strip_points_zero_to_four():
 
 def test_strip_points_zero_to_twelve():
     got = strip_points(0.0, 12.0)
-    assert [(e.u, e.v) for e in got] == exhaustive_strip(0.0, 12.0, bound=20)
+    assert [(e.u, e.v) for e in got] == exhaustive_strip(0.0, 12.0)
     expected = [0.0, 1 + SQRT2, 2 + SQRT2, 3 + 2 * SQRT2, 4 + 3 * SQRT2, 5 + 4 * SQRT2, 6 + 4 * SQRT2]
     assert [e.pi for e in got] == pytest.approx(expected, abs=1e-12)
 
@@ -150,6 +153,15 @@ def test_shifted_chain_empty_base_is_deterministic():
     det = deterministic_chain(0.0, 100.0)
     chain = shifted_chain(0.1, empty_process, 0.0, 100.0, seed=17)
     assert chain.vertices == det.vertices
+
+
+def test_chains_of_a_range_without_sites_are_empty():
+    assert strip_points(0.1, 0.5) == []
+    assert deterministic_chain(0.1, 0.5).vertices == ()
+    assert thinned_chain(1.0, 0.1, 0.5, seed=3).vertices == ()
+    # no site, even of the band grown by epsilon, projects into [0.4, 1.1]
+    assert band_points(0.4, 1.1, STRIP_HALF_WIDTH + 0.1) == []
+    assert shifted_chain(0.1, partial(sample_poisson_homogeneous, 5.0), 0.5, 1.0, seed=3).vertices == ()
 
 
 def test_shifted_chain_epsilon_bound():
@@ -250,3 +262,96 @@ def test_decompose_length_matches_double_loop(n, m, jitter, tol, n_max):
     assert _decomposition_outcome(decompose_length, length, n_max, tol) == _decomposition_outcome(
         decompose_length_double_loop, length, n_max, tol
     )
+
+
+def _near_strip(v, d):
+    """A lattice point within about 1.5 of the strip's axis."""
+    return LatticeIndex(round(v * SQRT2) + d, v)
+
+
+@st.composite
+def bands(draw):
+    """(x_lo, x_hi, half_width) up to 1e6 from the origin, 1e-9 to about
+    50 wide, with either end, or both, on a lattice point's projection."""
+    half_width = draw(st.one_of(st.just(STRIP_HALF_WIDTH), st.floats(1e-3, 3.0)))
+    v = draw(st.integers(-250_000, 250_000))
+    mode = draw(st.sampled_from(["float", "one end", "both ends"]))
+    if mode == "float":
+        x_lo = draw(st.floats(-1e6, 1e6))
+    else:
+        x_lo = _near_strip(v, draw(st.integers(-1, 1))).pi
+    if mode == "both ends":
+        x_hi = _near_strip(v + draw(st.integers(1, 17)), draw(st.integers(-1, 1))).pi
+    else:
+        x_hi = x_lo + draw(st.floats(1e-9, 50.0))
+    assume(x_lo < x_hi)
+    return x_lo, x_hi, half_width
+
+
+@st.composite
+def boxes(draw):
+    """Planar windows up to 1e6 from the origin and 1e-9 to 50 wide, with
+    either corner, or both, on an embedded lattice point."""
+    u, v = draw(st.integers(-300_000, 300_000)), draw(st.integers(-300_000, 300_000))
+    mode = draw(st.sampled_from(["float", "one corner", "both corners"]))
+    if mode == "float":
+        low = np.array([draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))])
+    else:
+        low = np.array(LatticeIndex(u, v).embed())
+    if mode == "both corners":
+        du, dv = draw(st.integers(-17, 17)), draw(st.integers(-17, 17))
+        corners = np.array([low, LatticeIndex(u + du, v + dv).embed()])
+        low, high = corners.min(axis=0), corners.max(axis=0)
+    else:
+        high = low + np.array([draw(st.floats(1e-9, 50.0)), draw(st.floats(1e-9, 50.0))])
+    assume((low < high).all())
+    return tuple(low.tolist()), tuple(high.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(band=bands())
+@example(band=(0.0, 4.0, STRIP_HALF_WIDTH))
+@example(band=(LatticeIndex(1, 1).pi, LatticeIndex(6, 4).pi, STRIP_HALF_WIDTH))
+@example(band=(LatticeIndex(-4, -3).pi, LatticeIndex(13, 9).pi, STRIP_HALF_WIDTH + 0.2))
+def test_band_points_match_exhaustive_box(band):
+    x_lo, x_hi, half_width = band
+    tol = EPS_GEOM * max(1.0, abs(x_lo), abs(x_hi), half_width)  # the documented boundary tolerance
+    got = [(e.u, e.v) for e in band_points(x_lo, x_hi, half_width)]
+    assert got == band_exhaustive(x_lo, x_hi, half_width, tol)
+
+
+def _corner_window(a, b):
+    corners = np.array([LatticeIndex(*a).embed(), LatticeIndex(*b).embed()])
+    return tuple(corners.min(axis=0).tolist()), tuple(corners.max(axis=0).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=boxes())
+@example(box=_corner_window((13, -1), (16, -1)))
+@example(box=_corner_window((0, 0), (3, 1)))
+@example(box=_corner_window((-5, 2), (1, 4)))
+@example(box=((0.0, 0.0), (3.0, 3.0)))
+def test_lattice_sites_in_window_match_exhaustive_box(box):
+    got = [(e.u, e.v) for e in lattice_sites_in_window(Window(*box))]
+    assert got == lattice_box_exhaustive(*box)
+
+
+@pytest.mark.parametrize(
+    "a, b, n_sites",
+    # a v range without a rounding margin reaches only 2, 3 and 10 of these
+    [((13, -1), (16, -1), 4), ((0, 0), (3, 1), 4), ((-5, 2), (1, 4), 11)],
+)
+def test_lattice_sites_in_window_keep_sites_on_the_boundary(a, b, n_sites):
+    got = [(e.u, e.v) for e in lattice_sites_in_window(Window(*_corner_window(a, b)))]
+    assert len(got) == n_sites
+    assert a in got and b in got
+
+
+@pytest.mark.parametrize(
+    "x_lo, x_hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan), (5.0, 5.0)]
+)
+def test_band_points_need_a_finite_range(x_lo, x_hi):
+    with pytest.raises(ValueError, match="finite x_lo < x_hi"):
+        band_points(x_lo, x_hi, STRIP_HALF_WIDTH)
+    with pytest.raises(ValueError, match="finite x_lo < x_hi"):
+        thinned_chain(1.0, x_lo, x_hi, seed=1)

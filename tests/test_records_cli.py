@@ -210,6 +210,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("stats", "--test", "occupation", "--c", "1", "--sites", "10", "--reps", "1") == 1
     assert run_cli("sample", "--process", "poisson", "--lambda", "-5", "--window", "0,0,1,1") == 1
     assert run_cli("chain", "--variant", "thinned", "--c", "-1", "--range", "0", "10") == 1
+    assert run_cli("chain", "--variant", "deterministic", "--range", "0", "inf") == 1
     # runtime errors: a shift radius too large for the lattice
     assert run_cli("chain", "--variant", "shifted", "--epsilon", "10", "--range", "0", "10") == 2  # EpsilonTooLarge
     assert run_cli("sample", "--process", "barycentre", "--lambda", "5", "--epsilon", "0.9", "--window", "0,0,10,10") == 2  # BallsOverlap
