@@ -93,6 +93,7 @@ from .randomness import (
     poisson_count,
     poisson_counts,
     replication_rngs,
+    replication_uniforms,
     splitmix64,
 )
 

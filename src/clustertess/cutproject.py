@@ -211,13 +211,7 @@ def decompose_length(
     Returns None when no pair matches; raises AmbiguousDecomposition
     when the tolerance admits more than one (tol too large for n_max).
     """
-    hits = []
-    for m in range(n_max + 1):
-        rest = length - m * SQRT2  # only n within tol of it, +-1 for rounding, can match
-        for n in range(max(0, math.floor(rest - tol) - 1), min(n_max, math.ceil(rest + tol) + 1) + 1):
-            if abs(length - (n + m * SQRT2)) <= tol:
-                hits.append((n, m))
-    hits.sort()
+    hits = decompose_lengths([length], [n_max], tol)[0]
     if not hits:
         return None
     if len(hits) > 1:
@@ -225,6 +219,47 @@ def decompose_length(
             f"length {length} matches {hits} within tol = {tol}"
         )
     return hits[0]
+
+
+# (length, m) pairs per array pass of decompose_lengths; bounds its memory
+_DECOMPOSE_BLOCK = 1 << 16
+
+
+def decompose_lengths(
+    lengths: Sequence[float], n_max: Sequence[int], tol: float
+) -> List[List[Tuple[int, int]]]:
+    """For each length, every pair (n, m) of integers in 0..n_max with
+    |length - (n + m*sqrt(2))| <= tol, sorted.
+
+    For each m, only n within tol of length - m*sqrt(2), +-1 for
+    rounding, can match; that window of n is tested with the float
+    expression above. All (length, m) pairs are evaluated in array
+    passes of _DECOMPOSE_BLOCK pairs.
+    """
+    length = np.asarray(lengths, dtype=float)
+    if not (np.isfinite(length).all() and math.isfinite(tol)):
+        raise ValueError(f"need finite lengths and tol, got {lengths} and {tol}")
+    sizes = np.maximum(np.asarray(n_max, dtype=np.int64), -1) + 1  # m = 0..n_max
+    ends = np.cumsum(sizes)
+    found = [(np.zeros(0, np.int64),) * 3]  # (length index, n, m) of the matches
+    for start in range(0, int(ends[-1]) if len(ends) else 0, _DECOMPOSE_BLOCK):
+        pair = np.arange(start, min(start + _DECOMPOSE_BLOCK, int(ends[-1])))
+        which = np.searchsorted(ends, pair, side="right")
+        m = pair - ends[which] + sizes[which]
+        m_sqrt2 = m * SQRT2
+        rest = length[which] - m_sqrt2
+        lo = np.maximum(0.0, np.floor(rest - tol) - 1.0)
+        hi = np.minimum(sizes[which] - 1, np.ceil(rest + tol) + 1.0)
+        n = lo[:, None] + np.arange(max(0, int((hi - lo).max()) + 1))
+        match = (n <= hi[:, None]) & (np.abs(length[which, None] - (n + m_sqrt2[:, None])) <= tol)
+        row = np.nonzero(match)[0]
+        found.append((which[row], n[match].astype(np.int64), m[row]))
+    index, n, m = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((m, n, index))
+    hits: List[List[Tuple[int, int]]] = [[] for _ in range(len(length))]
+    for i, a, b in zip(index[order].tolist(), n[order].tolist(), m[order].tolist()):
+        hits[i].append((a, b))
+    return hits
 
 
 def lattice_sites_in_window(window: Window) -> List[LatticeIndex]:

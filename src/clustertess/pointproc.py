@@ -94,11 +94,57 @@ class Window:
         return np.minimum(p - self._low, self._high - p).min(axis=-1)
 
 
+def canonical_atoms(
+    points: Sequence[Sequence[float]],
+    multiplicities: Optional[Sequence[int]],
+    window: Window,
+    sizes: Optional[Sequence[int]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (points, multiplicities) arrays of a configuration in `window`,
+    in lexicographic point order, after PointConfiguration's checks: (n, d)
+    points in the window, one positive multiplicity each (all one when
+    None), and pairwise distinct points.
+
+    With `sizes`, the rows are consecutive replications of sizes[r] atoms
+    each: one lexsort keyed by (replication, coordinates) orders every
+    replication at once, and only points within one replication must be
+    distinct. The returned arrays never share the caller's memory.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        pts = pts.reshape(0, window.dimension)
+    if pts.ndim != 2 or pts.shape[1] != window.dimension:
+        raise ValueError("points must be an (n, d) array matching the window dimension")
+    if multiplicities is None:
+        mult = np.ones(len(pts), dtype=np.int64)
+    else:
+        mult = np.asarray(multiplicities, dtype=np.int64)
+        if mult.shape != (len(pts),) or (len(mult) and mult.min() < 1):
+            raise ValueError("multiplicities must be positive, one per point")
+    if len(pts) and not ((pts >= window._low) & (pts <= window._high)).all():
+        raise ValueError("all points must lie inside the window")
+    if len(pts) < 2:
+        return pts.copy(), mult.copy()
+    keys = pts.T[::-1]
+    if sizes is not None:
+        rep = np.repeat(np.arange(len(sizes)), sizes)
+        keys = (*keys, rep)
+    order = np.lexsort(keys)
+    pts, mult = pts[order], mult[order]
+    same = (pts[1:] == pts[:-1]).all(axis=1)
+    if sizes is not None:
+        same &= rep[1:] == rep[:-1]  # rep is sorted already: it is the primary key
+    if same.any():
+        raise ValueError("points must be pairwise distinct")
+    return pts, mult
+
+
 class PointConfiguration:
     """Finite point configuration: atoms with multiplicities in a window.
 
     Atoms are stored in lexicographic order, which makes configurations
-    canonical: equal inputs compare equal and serialize identically.
+    canonical: equal inputs compare equal and serialize identically. The
+    order and the checks are `canonical_atoms` on one replication.
     """
 
     __slots__ = ("points", "multiplicities", "window", "_hash")
@@ -111,27 +157,7 @@ class PointConfiguration:
     ):
         if window is None:
             raise ValueError("a point configuration needs its window")
-        pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, window.dimension)
-        if pts.ndim != 2 or pts.shape[1] != window.dimension:
-            raise ValueError("points must be an (n, d) array matching the window dimension")
-        if multiplicities is None:
-            mult = np.ones(len(pts), dtype=np.int64)
-        else:
-            mult = np.asarray(multiplicities, dtype=np.int64)
-            if mult.shape != (len(pts),) or (len(mult) and mult.min() < 1):
-                raise ValueError("multiplicities must be positive, one per point")
-        if len(pts) and not ((pts >= window._low) & (pts <= window._high)).all():
-            raise ValueError("all points must lie inside the window")
-        if len(pts) > 1:
-            order = np.lexsort(pts.T[::-1])
-            pts = pts[order]
-            mult = mult[order]
-            if (pts[1:] == pts[:-1]).all(axis=1).any():
-                raise ValueError("points must be pairwise distinct")
-        else:  # copies, so that freezing them leaves the caller's arrays writable
-            pts, mult = pts.copy(), mult.copy()
+        pts, mult = canonical_atoms(points, multiplicities, window)
         pts.setflags(write=False)
         mult.setflags(write=False)
         self.points = pts
@@ -191,11 +217,18 @@ class DiscreteIntensity:
     def __post_init__(self):
         # a copy, so that freezing it leaves a caller's array writable
         site_array = np.array(self.sites, dtype=float)
-        object.__setattr__(self, "sites", tuple(map(tuple, site_array.tolist())))
+        object.__setattr__(self, "sites", tuple(zip(*site_array.T.tolist())))
         if self.c <= 0.0:
             raise ValueError(f"per-site mass must be positive, got {self.c}")
-        if len(set(self.sites)) != len(self.sites):
-            raise ValueError("intensity sites must be pairwise distinct")
+        if len(site_array) > 1:
+            # one sort of the first coordinates finds the sites that share
+            # one; only those can be equal, and lexicographic order puts
+            # equal ones next to each other
+            first = np.sort(site_array[:, 0])
+            tied = site_array[np.isin(site_array[:, 0], first[1:][first[1:] == first[:-1]])]
+            tied = tied[np.lexsort(tied.T[::-1])]
+            if (tied[1:] == tied[:-1]).all(axis=1).any():
+                raise ValueError("intensity sites must be pairwise distinct")
         # derived once; a plain attribute, so not part of eq, hash or repr
         site_array.setflags(write=False)
         object.__setattr__(self, "_site_array", site_array)
@@ -209,12 +242,19 @@ def sample_poisson_homogeneous(
     The total count is Poisson(lam * volume); given the count, points
     are independent and uniform. All multiplicities are one.
     """
+    return PointConfiguration(*poisson_homogeneous_atoms(lam, window, seed), window)
+
+
+def poisson_homogeneous_atoms(
+    lam: float, window: Window, seed: Union[Seed, np.random.Generator]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The points sample_poisson_homogeneous draws, in draw order, and
+    their multiplicities, all one."""
     if lam <= 0.0:
         raise ValueError(f"intensity must be positive, got {lam}")
     rng = make_rng(seed)
     n = poisson_count(rng, lam * window.volume())
-    coords = window._low + rng.random((n, window.dimension)) * window._extent
-    return PointConfiguration(coords, None, window)
+    return window._low + rng.random((n, window.dimension)) * window._extent, np.ones(n, dtype=np.int64)
 
 
 def sample_poisson_discrete(
@@ -222,13 +262,19 @@ def sample_poisson_discrete(
 ) -> PointConfiguration:
     """Poisson process with discrete intensity: site e carries an
     independent Poisson(c) multiplicity, zero-count sites are omitted."""
-    sites = rho._site_array
     if window is None:
-        window = _bounding_window(sites)
-    rng = make_rng(seed)
-    counts = poisson_counts(rng, rho.c, len(sites))
+        window = _bounding_window(rho._site_array)
+    return PointConfiguration(*poisson_discrete_atoms(rho, seed), window)
+
+
+def poisson_discrete_atoms(
+    rho: DiscreteIntensity, seed: Union[Seed, np.random.Generator]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The occupied sites and their counts that sample_poisson_discrete
+    draws, in site order."""
+    counts = poisson_counts(make_rng(seed), rho.c, len(rho._site_array))
     keep = counts > 0
-    return PointConfiguration(sites[keep], counts[keep], window)
+    return rho._site_array[keep], counts[keep]
 
 
 def _bounding_window(sites: np.ndarray, pad: float = 0.5) -> Window:

@@ -19,7 +19,15 @@ that results are a pure function of (parameters, seed):
   of array operations. PCG64 then seeds itself from those words as it
   does from a SeedSequence, so each generator streams bit for bit like
   `make_rng(mix_seed(base_seed, i))`. NEP 19 keeps SeedSequence and
-  PCG64 streams stable across numpy versions.
+  PCG64 streams stable across numpy versions;
+* a loop that reads one uniform a replication builds no generator at
+  all (`replication_uniforms`): PCG64 is a 128-bit LCG with a fixed
+  output function (O'Neill 2014), so its seeding and first draw are a
+  fixed sequence of integer operations, run on uint64 word pairs over
+  all seeds at once. The count test's inversion path uses it; a loop
+  whose replications read a varying number of uniforms (PTRS counts,
+  `clustertess sample`, the occupation and intensity tests) keeps one
+  generator a replication from `replication_rngs`.
 """
 
 from __future__ import annotations
@@ -123,6 +131,17 @@ class _HashedSeed:
         return self.words
 
 
+def _replication_seeds(base_seed: int, n: int) -> Iterator[np.ndarray]:
+    """mix_seed(base_seed, i) for i = 0..n-1, as uint64 arrays of up to
+    _BATCH seeds; a negative n is refused before the first batch."""
+    if n < 0:
+        raise ValueError(f"replication count must be nonnegative, got {n}")
+    return (
+        mix_seed(base_seed, np.arange(start, min(start + _BATCH, n), dtype=np.uint64))
+        for start in range(0, n, _BATCH)
+    )
+
+
 def replication_rngs(base_seed: int, n: int) -> Iterator[np.random.Generator]:
     """The generators make_rng(mix_seed(base_seed, i)) for i = 0..n-1,
     bit for bit, with the seeds mixed and hashed in array passes."""
@@ -132,10 +151,62 @@ def replication_rngs(base_seed: int, n: int) -> Iterator[np.random.Generator]:
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_HashedSeed)
-    for start in range(0, n, _BATCH):
-        index = np.arange(start, min(start + _BATCH, n), dtype=np.uint64)
-        for words in _seed_words(mix_seed(base_seed, index)):
-            yield np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+    return (
+        np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+        for seeds in _replication_seeds(base_seed, n)
+        for words in _seed_words(seeds)
+    )
+
+
+# PCG64 (O'Neill 2014) on (high, low) uint64 word pairs: its 128-bit LCG
+# multiplier as two words, the low word also as its 32-bit halves, and
+# the shift counts. Every constant is an np.uint64: a Python int mixed
+# into a uint64 array can promote it to float64 under numpy < 2.
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_LO32 = np.uint64(0xFFFFFFFF)
+_MULT_LO_HI, _MULT_LO_LO = _PCG_MULT_LO >> np.uint64(32), _PCG_MULT_LO & _LO32
+_U = {k: np.uint64(k) for k in (1, 11, 32, 58, 63, 64)}
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One LCG step, state * multiplier + inc mod 2**128, on word pairs."""
+    # the high word of lo * _PCG_MULT_LO, from 32-bit limb products
+    lo_hi, lo_lo = lo >> _U[32], lo & _LO32
+    t = lo_hi * _MULT_LO_LO + (lo_lo * _MULT_LO_LO >> _U[32])
+    w = (t & _LO32) + lo_lo * _MULT_LO_HI
+    lo_mult_hi = lo_hi * _MULT_LO_HI + (t >> _U[32]) + (w >> _U[32])
+    hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + lo_mult_hi
+    lo = lo * _PCG_MULT_LO
+    return _add128(hi, lo, inc_hi, inc_lo)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+def replication_uniforms(base_seed: int, n: int) -> np.ndarray:
+    """make_rng(mix_seed(base_seed, i)).random() for i = 0..n-1, bit for
+    bit, without building a generator.
+
+    PCG64 seeds itself from SeedSequence's words w0..w3 (`_seed_words`):
+    initstate = w0 * 2**64 + w1 and inc = (w2 * 2**64 + w3) << 1 | 1; from
+    state 0 it steps, adds initstate and steps again. A draw steps once
+    more and outputs the XSL-RR of the state, rotr64(hi ^ lo, hi >> 58);
+    random() keeps its top 53 bits. Seeds are processed _BATCH at a time.
+    """
+    parts = [np.empty(0)]
+    for seeds in _replication_seeds(base_seed, n):
+        w = _seed_words(seeds).T
+        inc_hi = (w[2] << _U[1]) | (w[3] >> _U[63])
+        inc_lo = (w[3] << _U[1]) | _U[1]
+        hi, lo = _add128(inc_hi, inc_lo, w[0], w[1])  # the first step from state 0 gives inc
+        hi, lo = _pcg_step(*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U[58]
+        x = (x >> rot) | (x << ((_U[64] - rot) & _U[63]))
+        parts.append((x >> _U[11]).astype(np.float64) * 2.0**-53)
+    return np.concatenate(parts)
 
 
 def poisson_count(rng: np.random.Generator, mean: float) -> int:
@@ -158,7 +229,13 @@ def poisson_counts(rng: np.random.Generator, mean: float, size: int) -> np.ndarr
     """`size` calls of poisson_count at once: same draws, same uniforms."""
     if not 0.0 < mean <= INVERSION_CUTOFF:  # PTRS, zero, or the scalar's ValueError
         return np.array([poisson_count(rng, mean) for _ in range(size)], dtype=np.int64)
-    u = rng.random(size)
+    return poisson_inversion(rng.random(size), mean)
+
+
+def poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
+    """The counts inversion at 0 < mean <= INVERSION_CUTOFF gives the
+    uniforms u: each u looked up in a table of the sequential search's
+    sums, so each count is the scalar's bit for bit."""
     top, p = u.max(initial=0.0), math.exp(-mean)
     cum = [p]  # the scalar search's sums, until they reach top or the pmf underflows
     while cum[-1] < top and (p := p * (mean / len(cum))) > 0.0:

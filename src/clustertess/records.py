@@ -4,7 +4,8 @@ Coordinates are written as 17-significant-digit decimals, which
 round-trip IEEE doubles exactly, and dictionary keys keep a fixed
 order, so identical runs produce byte-identical files. A record built
 by `make_record` holds its coordinates and multiplicities as numpy
-arrays, and each array's text is made in one formatting pass.
+arrays, and each array's text is made in one formatting pass;
+`dump_configurations` writes many configuration-only records in one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +39,17 @@ def _array_text(value: np.ndarray) -> str:
     formatted in one `%` pass ("%.17g" gives format(x, ".17g"))."""
     item = "%d"
     if value.dtype.kind == "f":
-        finite = np.isfinite(value)
-        if not finite.all():
-            _fmt_float(float(value[~finite][0]))  # raises the ValueError
+        _check_finite(value)
         item = "%.17g"
     for size in reversed(value.shape):
         item = "[" + ",".join([item] * size) + "]"
     return item % tuple(value.ravel().tolist())
+
+
+def _check_finite(value: np.ndarray) -> None:
+    finite = np.isfinite(value)
+    if not finite.all():
+        _fmt_float(float(value[~finite][0]))  # raises the ValueError
 
 
 def dumps_value(value) -> str:
@@ -248,6 +253,40 @@ def record_to_objects(
 
 def dump_records(records: Iterable[dict]) -> str:
     return "".join(dumps_value(r) + "\n" for r in records)
+
+
+def dump_configurations(window: Window, points: np.ndarray, multiplicities: np.ndarray, sizes: Sequence[int]) -> str:
+    """The text dump_records gives the records make_record(r, eta_r) of
+    consecutive replications r = 0, 1, ..., whose canonical atoms are
+    stacked in points (n, d) and multiplicities (n,), sizes[r] atoms
+    each (`pointproc.canonical_atoms`).
+
+    Every record is formatted in one `%` pass: the window's text is made
+    once, each atom count gets one record template, and the values of
+    all records are laid out in template order.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    _check_finite(points)
+    n, d = points.shape
+    head = '{"replication":%d,"window":' + dumps_value(window_to_dict(window)) + ',"points":['
+    templates = {}
+    for size in set(sizes.tolist()):
+        templates[size] = (
+            head + ",".join(["[" + ",".join(["%.17g"] * d) + "]"] * size)
+            + '],"multiplicities":[' + ",".join(["%d"] * size) + '],"clusters":null,"report":null}\n'
+        )
+    # record r holds atoms first[r]..ends[r]-1, and its values start at
+    # r + (d + 1) * first[r]: its replication, d coordinates per atom,
+    # then one multiplicity per atom
+    ends = np.cumsum(sizes)
+    first = ends - sizes
+    record = np.repeat(np.arange(len(sizes)), sizes)
+    atom = np.arange(n)
+    values = np.empty(len(sizes) + n * (d + 1), dtype=object)
+    values[np.arange(len(sizes)) + (d + 1) * first] = np.arange(len(sizes))
+    values[(record + 1 + first[record] + atom * d)[:, None] + np.arange(d)] = points
+    values[record + 1 + d * ends[record] + atom] = multiplicities
+    return "".join([templates[size] for size in sizes.tolist()]) % tuple(values.tolist())
 
 
 def parse_records(text: str) -> List[dict]:

