@@ -92,6 +92,7 @@ from .randomness import (
     mix_seed,
     poisson_count,
     poisson_counts,
+    replication_batches,
     replication_rngs,
     replication_uniforms,
     splitmix64,

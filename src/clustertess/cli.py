@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .clusterprops import delone_property, extract_clusters, hardcore_property, voronoi_property
-from .cutproject import deterministic_chain, lattice_sites_in_window, shifted_chain, thinned_chain
+from .cutproject import _embed, _window_indices, deterministic_chain, shifted_chain, thinned_chain
 from .errors import ClusterTessError, ConfigError
 from .pointproc import (
     DiscreteIntensity,
@@ -28,11 +28,12 @@ from .pointproc import (
     canonical_atoms,
     deterministic_lattice,
     poisson_discrete_atoms,
-    poisson_homogeneous_atoms,
+    poisson_homogeneous_replications,
+    replicate,
     sample_poisson_discrete,  # noqa: F401 -- bound here, where the benchmark's tracer wraps it
     sample_poisson_homogeneous,
 )
-from .randomness import mix_seed, replication_rngs
+from .randomness import mix_seed
 from .records import (
     dump_configurations,
     dump_records,
@@ -138,10 +139,12 @@ def _read_input(path) -> list:
     return read_records_file(path)
 
 
-def _silver_sites(window: Window):
+def _silver_sites(window: Window) -> np.ndarray:
+    """The embedded silver-mean lattice points in a planar window, sorted
+    by (u, v) as `lattice_sites_in_window` lists them."""
     if window.dimension != 2:
         raise ConfigError("lattice-based processes need a planar window")
-    return [e.embed() for e in lattice_sites_in_window(window)]
+    return _embed(*_window_indices(window))
 
 
 # ---------------------------------------------------------------------------
@@ -155,34 +158,32 @@ def cmd_sample(args) -> int:
     process = res.get("process", str, required=True)
     reps = res.get("replications", int, 1)
     seed = res.seed()
-    draw = _sampler(res, process, window)
     # every replication's atoms, stacked, then ordered, checked and written at once
-    draws = [draw(rng) for rng in replication_rngs(seed, reps)]
-    sizes = [len(m) for _, m in draws]
-    points, mult = canonical_atoms(
-        np.concatenate([np.zeros((0, window.dimension)), *(p for p, _ in draws)]),
-        np.concatenate([np.zeros(0, np.int64), *(m for _, m in draws)]),
-        window,
-        sizes,
-    )
+    points, mult, sizes = _sampler(res, process, window)(seed, reps)
+    points, mult = canonical_atoms(points, mult, window, sizes)
     _emit(res.get("out", str), dump_configurations(window, points, mult, sizes))
     return EXIT_OK
 
 
 def _sampler(res, process: str, window: Window):
-    """One draw of `process` in window from a generator, as (points,
-    multiplicities) arrays in any order; all else is resolved once."""
+    """The replications of `process` in window from a base seed: a
+    function of (seed, count) that returns stacked (points,
+    multiplicities, sizes) arrays, each replication's atoms in any order;
+    all else is resolved once."""
     if process == "poisson":
         lam = res.get("lambda", float, required=True)
-        return lambda rng: poisson_homogeneous_atoms(lam, window, rng)
+        return partial(poisson_homogeneous_replications, lam, window)
     if process == "poisson_discrete":
         c = res.get("c", float, required=True)
-        rho = DiscreteIntensity(tuple(_silver_sites(window)), c)
-        return lambda rng: poisson_discrete_atoms(rho, rng)
-    if process == "lattice":
+        rho = DiscreteIntensity(_silver_sites(window), c)
+        draw = partial(poisson_discrete_atoms, rho)
+    elif process == "lattice":
         eta = deterministic_lattice(_silver_sites(window), window)
-        return lambda rng: (eta.points, eta.multiplicities)
-    if process == "barycentre":
+
+        def draw(rng):
+            return eta.points, eta.multiplicities
+
+    elif process == "barycentre":
         lam = res.get("lambda", float, required=True)
         epsilon = res.get("epsilon", float, required=True)
         try:
@@ -195,8 +196,9 @@ def _sampler(res, process: str, window: Window):
             eta = barycentre_shift(sample_poisson_homogeneous(lam, window, rng), sites, epsilon)
             return eta.points, eta.multiplicities
 
-        return draw
-    raise ConfigError(f"unknown process {process!r}")
+    else:
+        raise ConfigError(f"unknown process {process!r}")
+    return partial(replicate, draw, window.dimension)
 
 
 def _build_property(res, window: Window):

@@ -265,8 +265,13 @@ def decompose_lengths(
 def lattice_sites_in_window(window: Window) -> List[LatticeIndex]:
     """All lattice indices whose embedded point lies in a planar window,
     boundary included, sorted by (u, v)."""
+    return _indices(*_window_indices(window))
+
+
+def _window_indices(window: Window) -> Tuple[np.ndarray, np.ndarray]:
+    """`lattice_sites_in_window` as (u, v) index arrays, in its order."""
     if window.dimension != 2:
         raise ValueError("the lattice is planar; need a 2D window")
     u, v = _lattice_box(window.low, window.high)
     order = np.lexsort((v, u))
-    return _indices(u[order], v[order])
+    return u[order], v[order]

@@ -8,18 +8,35 @@ apply its own boundary rule.
 All samplers are pure functions of (parameters, seed). A sampler also
 takes a numpy Generator in place of the seed and draws from it as it is,
 so a replication loop can hand over generators built in one batch
-(`randomness.replication_rngs`).
+(`randomness.replication_rngs`, through `replicate`). The homogeneous
+Poisson process at a mean of at most INVERSION_CUTOFF draws all its
+replications from PCG64 lanes instead, with no generator built
+(`poisson_homogeneous_replications`).
+
+Atoms are kept in lexicographic order, which `canonical_atoms` finds
+with one argsort of the first coordinate and a lexsort of the rows that
+tie in it; `barycentre_shift` reads that order to sweep its sites along
+the first coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import BallsOverlap, TooFewPoints
-from .randomness import make_rng, poisson_count, poisson_counts
+from .randomness import (
+    INVERSION_CUTOFF,
+    make_rng,
+    poisson_count,
+    poisson_counts,
+    poisson_inversion,
+    replication_batches,
+    replication_rngs,
+)
 
 Seed = int
 
@@ -106,9 +123,14 @@ def canonical_atoms(
     None), and pairwise distinct points.
 
     With `sizes`, the rows are consecutive replications of sizes[r] atoms
-    each: one lexsort keyed by (replication, coordinates) orders every
-    replication at once, and only points within one replication must be
-    distinct. The returned arrays never share the caller's memory.
+    each, ordered by (replication, coordinates) at once, and only points
+    within one replication must be distinct. The order comes from one
+    argsort of the first coordinate (after the replication); only rows
+    whose first coordinate ties with a neighbour's are lexsorted by the
+    other coordinates, each run of ties on its own. The result is one
+    full lexsort's, as the rows it could leave in either order are equal
+    points, which raise. The returned arrays never share the caller's
+    memory.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -125,17 +147,31 @@ def canonical_atoms(
         raise ValueError("all points must lie inside the window")
     if len(pts) < 2:
         return pts.copy(), mult.copy()
-    keys = pts.T[::-1]
+    # any order of equal first coordinates will do: the tie pass below
+    # settles it, and equal points raise
+    order = np.argsort(pts[:, 0])
     if sizes is not None:
+        # replication first, then rank by the first coordinate
         rep = np.repeat(np.arange(len(sizes)), sizes)
-        keys = (*keys, rep)
-    order = np.lexsort(keys)
-    pts, mult = pts[order], mult[order]
-    same = (pts[1:] == pts[:-1]).all(axis=1)
+        rank = np.empty(len(pts), dtype=np.int64)
+        rank[order] = np.arange(len(pts))
+        order = np.argsort(rep * len(pts) + rank)
+    pts, mult = pts.take(order, axis=0), mult[order]  # take: a fraction of fancy indexing's time on rows
+    # rows tied with the next one: same first coordinate (and replication;
+    # rep is sorted already, as it is the primary key)
+    tie = pts[1:, 0] == pts[:-1, 0]
     if sizes is not None:
-        same &= rep[1:] == rep[:-1]  # rep is sorted already: it is the primary key
-    if same.any():
-        raise ValueError("points must be pairwise distinct")
+        tie &= rep[1:] == rep[:-1]
+    pair = np.flatnonzero(tie)
+    if len(pair):
+        # only tied rows need the other coordinates: one lexsort keyed by
+        # (run of ties, coordinates 1..d-1) orders every run, stably
+        rows = np.union1d(pair, pair + 1)
+        run = np.cumsum(~np.isin(rows - 1, pair))
+        sub = rows[np.lexsort((*pts[rows, 1:].T[::-1], run))]
+        pts[rows], mult[rows] = pts[sub], mult[sub]
+        if (pts[pair + 1] == pts[pair]).all(axis=1).any():
+            raise ValueError("points must be pairwise distinct")
     return pts, mult
 
 
@@ -207,31 +243,49 @@ class PointConfiguration:
 ProcessSampler = Callable[[Window, Seed], PointConfiguration]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteIntensity:
-    """Intensity measure with mass c at each of finitely many sites."""
+    """Intensity measure with mass c at each of finitely many sites.
 
-    sites: Tuple[Tuple[float, ...], ...]
+    `sites` is kept as a read-only (n, d) float array, a copy of what was
+    passed. Equality and hash read its shape and bytes and c, so sites
+    that differ only in the sign of a zero differ; repr shows the sites
+    as a tuple of tuples.
+    """
+
+    sites: np.ndarray
     c: float
 
     def __post_init__(self):
         # a copy, so that freezing it leaves a caller's array writable
-        site_array = np.array(self.sites, dtype=float)
-        object.__setattr__(self, "sites", tuple(zip(*site_array.T.tolist())))
+        sites = np.array(self.sites, dtype=float)
         if self.c <= 0.0:
             raise ValueError(f"per-site mass must be positive, got {self.c}")
-        if len(site_array) > 1:
+        if len(sites) > 1:
             # one sort of the first coordinates finds the sites that share
             # one; only those can be equal, and lexicographic order puts
             # equal ones next to each other
-            first = np.sort(site_array[:, 0])
-            tied = site_array[np.isin(site_array[:, 0], first[1:][first[1:] == first[:-1]])]
+            first = np.sort(sites[:, 0])
+            tied = sites[np.isin(sites[:, 0], first[1:][first[1:] == first[:-1]])]
             tied = tied[np.lexsort(tied.T[::-1])]
             if (tied[1:] == tied[:-1]).all(axis=1).any():
                 raise ValueError("intensity sites must be pairwise distinct")
-        # derived once; a plain attribute, so not part of eq, hash or repr
-        site_array.setflags(write=False)
-        object.__setattr__(self, "_site_array", site_array)
+        sites.setflags(write=False)
+        object.__setattr__(self, "sites", sites)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DiscreteIntensity)
+            and self.sites.shape == other.sites.shape
+            and self.sites.tobytes() == other.sites.tobytes()
+            and self.c == other.c
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.sites.shape, self.sites.tobytes(), self.c))
+
+    def __repr__(self) -> str:
+        return f"DiscreteIntensity(sites={tuple(map(tuple, self.sites.tolist()))!r}, c={self.c!r})"
 
 
 def sample_poisson_homogeneous(
@@ -257,13 +311,52 @@ def poisson_homogeneous_atoms(
     return window._low + rng.random((n, window.dimension)) * window._extent, np.ones(n, dtype=np.int64)
 
 
+def poisson_homogeneous_replications(
+    lam: float, window: Window, base_seed: Seed, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`replicate` of poisson_homogeneous_atoms: the draws of replications
+    0..n-1 bit for bit, stacked.
+
+    For 0 < lam * volume <= INVERSION_CUTOFF no generator is built: each
+    replication's PCG64 stream runs as a lane of `replication_batches`,
+    whose first draw gives the count through the inversion table and
+    whose next count * d draws the coordinates, in the order
+    `rng.random((count, d))` reads them. Larger means keep one generator
+    a replication, as PTRS reads a varying number of uniforms.
+    """
+    mean = lam * window.volume()
+    if not 0.0 < mean <= INVERSION_CUTOFF:  # PTRS, or the sampler's own ValueError
+        return replicate(partial(poisson_homogeneous_atoms, lam, window), window.dimension, base_seed, n)
+    points, sizes = [np.zeros((0, window.dimension))], [np.zeros(0, dtype=np.int64)]
+    for batch in replication_batches(base_seed, n):
+        counts = poisson_inversion(batch.random(1), mean)
+        u = batch.random(counts * window.dimension).reshape(-1, window.dimension)
+        points.append(window._low + u * window._extent)
+        sizes.append(counts)
+    points, sizes = np.concatenate(points), np.concatenate(sizes)
+    return points, np.ones(len(points), dtype=np.int64), sizes
+
+
+def replicate(
+    draw: Callable[[np.random.Generator], Tuple[np.ndarray, np.ndarray]], dimension: int, base_seed: Seed, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """draw(make_rng(mix_seed(base_seed, i))) for i = 0..n-1, with the
+    generators built in one batch (`replication_rngs`): the (points,
+    multiplicities) of every replication stacked, and the atom count of
+    each. A negative n is refused before the first draw."""
+    draws = [draw(rng) for rng in replication_rngs(base_seed, n)]
+    points = np.concatenate([np.zeros((0, dimension)), *(p for p, _ in draws)])
+    mult = np.concatenate([np.zeros(0, dtype=np.int64), *(m for _, m in draws)])
+    return points, mult, np.array([len(m) for _, m in draws], dtype=np.int64)
+
+
 def sample_poisson_discrete(
     rho: DiscreteIntensity, seed: Union[Seed, np.random.Generator], window: Optional[Window] = None
 ) -> PointConfiguration:
     """Poisson process with discrete intensity: site e carries an
     independent Poisson(c) multiplicity, zero-count sites are omitted."""
     if window is None:
-        window = _bounding_window(rho._site_array)
+        window = _bounding_window(rho.sites)
     return PointConfiguration(*poisson_discrete_atoms(rho, seed), window)
 
 
@@ -272,9 +365,9 @@ def poisson_discrete_atoms(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The occupied sites and their counts that sample_poisson_discrete
     draws, in site order."""
-    counts = poisson_counts(make_rng(seed), rho.c, len(rho._site_array))
+    counts = poisson_counts(make_rng(seed), rho.c, len(rho.sites))
     keep = counts > 0
-    return rho._site_array[keep], counts[keep]
+    return rho.sites[keep], counts[keep]
 
 
 def _bounding_window(sites: np.ndarray, pad: float = 0.5) -> Window:
@@ -319,32 +412,64 @@ def barycentre_shift(
     empty. Requires 2*epsilon below the minimal site spacing so the
     balls cannot intersect; the output then has exactly one point per
     site, each within epsilon of its site.
+
+    eta's atoms are sorted by their first coordinate (canonical order),
+    so two binary searches give each site the atoms whose first
+    coordinate lies within epsilon of its own, a hair more so that
+    rounding cannot drop one; only those pairs are measured.
     """
     site_arr = np.atleast_2d(np.asarray(sites, dtype=float))
+    if site_arr.size == 0:  # no site, no output point
+        site_arr = site_arr.reshape(0, eta.dimension)
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if len(site_arr) >= 2 and 2.0 * epsilon >= min_pairwise_distance(site_arr):
         raise BallsOverlap(
             f"2*epsilon = {2 * epsilon} reaches the minimal site spacing"
         )
-    from scipy.spatial import cKDTree
-
     out = site_arr.copy()
-    if eta.n_atoms:
-        tree = cKDTree(site_arr)
-        # a point within epsilon of a site has no other site within
-        # epsilon, so a bounded query finds the same site; the bound sits
-        # a hair above epsilon, so that rounding in the kd-tree's own cut
-        # cannot drop a point the open-ball test below keeps
-        dist, idx = tree.query(eta.points, k=1, distance_upper_bound=epsilon * (1.0 + 1e-9))
-        near = dist < epsilon  # open ball
-        if np.any(near):
-            weights = eta.multiplicities[near].astype(float)
-            targets = idx[near]
-            sums = np.zeros_like(site_arr)
-            np.add.at(sums, targets, eta.points[near] * weights[:, None])
-            totals = np.zeros(len(site_arr))
-            np.add.at(totals, targets, weights)
-            hit = totals > 0
-            out[hit] = sums[hit] / totals[hit, None]
+    x = eta.points[:, 0]
+    reach = epsilon * (1.0 + 1e-9)
+    first = np.searchsorted(x, site_arr[:, 0] - reach, side="left")
+    counts = np.searchsorted(x, site_arr[:, 0] + reach, side="right") - first
+    kept_site, kept_atom = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for block in _blocks(counts, _SHIFT_BLOCK):
+        site = np.repeat(np.arange(block.start, block.stop), counts[block])
+        atom = _ranges(first[block], counts[block])
+        near = np.sqrt(((eta.points[atom] - site_arr[site]) ** 2).sum(axis=1)) < epsilon  # open ball
+        kept_site.append(site[near])
+        kept_atom.append(atom[near])
+    site, atom = np.concatenate(kept_site), np.concatenate(kept_atom)
+    if len(atom):
+        # a point lies in one ball at most, and each site's atoms come in
+        # ascending order, so each site sums its points in that order
+        weights = eta.multiplicities[atom].astype(float)
+        sums = np.zeros_like(site_arr)
+        np.add.at(sums, site, eta.points[atom] * weights[:, None])
+        totals = np.zeros(len(site_arr))
+        np.add.at(totals, site, weights)
+        hit = totals > 0
+        out[hit] = sums[hit] / totals[hit, None]
     return PointConfiguration(out, None, eta.window)
+
+
+# site-atom pairs measured per array pass of barycentre_shift; bounds its memory
+_SHIFT_BLOCK = 1 << 20
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + n) over (s, n) in zip(starts, counts)."""
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return offsets + np.repeat(starts, counts)
+
+
+def _blocks(counts: np.ndarray, cap: int):
+    """Consecutive slices of `counts` whose sums stay within cap; a
+    single count above cap forms a block of its own."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield slice(start, stop)
+        start = stop

@@ -20,13 +20,16 @@ that results are a pure function of (parameters, seed):
   does from a SeedSequence, so each generator streams bit for bit like
   `make_rng(mix_seed(base_seed, i))`. NEP 19 keeps SeedSequence and
   PCG64 streams stable across numpy versions;
-* a loop that reads one uniform a replication builds no generator at
-  all (`replication_uniforms`): PCG64 is a 128-bit LCG with a fixed
-  output function (O'Neill 2014), so its seeding and first draw are a
-  fixed sequence of integer operations, run on uint64 word pairs over
-  all seeds at once. The count test's inversion path uses it; a loop
-  whose replications read a varying number of uniforms (PTRS counts,
-  `clustertess sample`, the occupation and intensity tests) keeps one
+* a loop over replications whose draws are all uniforms builds no
+  generator at all (`replication_batches`): PCG64 is a 128-bit LCG with
+  a fixed output function (O'Neill 2014), so its seeding and each draw
+  are a fixed sequence of integer operations, run on uint64 word pairs
+  with one lane a seed, and each lane streams as many draws as its
+  replication reads. The count test's inversion path reads one uniform
+  a lane (`replication_uniforms`); `clustertess sample` of a Poisson
+  process whose mean is at most INVERSION_CUTOFF reads the count's
+  uniform, then count * d coordinates. Only PTRS counts, the occupation
+  and intensity tests and `sample` of the other processes keep one
   generator a replication from `replication_rngs`.
 """
 
@@ -186,27 +189,60 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
 
 
+class PCG64Batch:
+    """The PCG64 generators of a batch of seeds as uint64 word-pair
+    arrays, one lane a seed: lane i streams bit for bit like
+    `np.random.PCG64` seeded from row i of the SeedSequence words
+    (`_seed_words`), without building a generator.
+
+    PCG64 seeds itself from the words w0..w3: initstate = w0 * 2**64 + w1
+    and inc = (w2 * 2**64 + w3) << 1 | 1; from state 0 it steps, adds
+    initstate and steps again. A draw steps once more and outputs the
+    XSL-RR of the state, rotr64(hi ^ lo, hi >> 58); random() keeps its
+    top 53 bits.
+    """
+
+    __slots__ = ("hi", "lo", "inc_hi", "inc_lo")
+
+    def __init__(self, words: np.ndarray):
+        w = words.T
+        self.inc_hi = (w[2] << _U[1]) | (w[3] >> _U[63])
+        self.inc_lo = (w[3] << _U[1]) | _U[1]
+        hi, lo = _add128(self.inc_hi, self.inc_lo, w[0], w[1])  # the first step from state 0 gives inc
+        self.hi, self.lo = _pcg_step(hi, lo, self.inc_hi, self.inc_lo)
+
+    def random(self, counts) -> np.ndarray:
+        """The next counts[i] doubles of each lane i, as Generator.random
+        reads them, concatenated lane by lane; `counts` may be one count
+        for every lane. Each lane advances by its own count."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), self.hi.shape)
+        # lanes by falling count, so that the lanes still drawing at step t are a prefix
+        order = np.argsort(-counts, kind="stable")
+        falling = counts[order]
+        at = (np.cumsum(counts) - counts)[order]
+        live = np.searchsorted(-falling, -np.arange(counts.max(initial=0)), side="left")  # counts > t
+        hi, lo, inc_hi, inc_lo = (a[order] for a in (self.hi, self.lo, self.inc_hi, self.inc_lo))
+        out = np.empty(int(counts.sum()))
+        for t, m in enumerate(live.tolist()):
+            hi[:m], lo[:m] = _pcg_step(hi[:m], lo[:m], inc_hi[:m], inc_lo[:m])
+            x, rot = hi[:m] ^ lo[:m], hi[:m] >> _U[58]
+            x = (x >> rot) | (x << ((_U[64] - rot) & _U[63]))
+            out[at[:m] + t] = (x >> _U[11]).astype(np.float64) * 2.0**-53
+        self.hi[order], self.lo[order] = hi, lo
+        return out
+
+
+def replication_batches(base_seed: int, n: int) -> Iterator[PCG64Batch]:
+    """The generators make_rng(mix_seed(base_seed, i)) for i = 0..n-1 as
+    PCG64Batch lanes, _BATCH seeds a batch; a negative n is refused when
+    called."""
+    return (PCG64Batch(_seed_words(seeds)) for seeds in _replication_seeds(base_seed, n))
+
+
 def replication_uniforms(base_seed: int, n: int) -> np.ndarray:
     """make_rng(mix_seed(base_seed, i)).random() for i = 0..n-1, bit for
-    bit, without building a generator.
-
-    PCG64 seeds itself from SeedSequence's words w0..w3 (`_seed_words`):
-    initstate = w0 * 2**64 + w1 and inc = (w2 * 2**64 + w3) << 1 | 1; from
-    state 0 it steps, adds initstate and steps again. A draw steps once
-    more and outputs the XSL-RR of the state, rotr64(hi ^ lo, hi >> 58);
-    random() keeps its top 53 bits. Seeds are processed _BATCH at a time.
-    """
-    parts = [np.empty(0)]
-    for seeds in _replication_seeds(base_seed, n):
-        w = _seed_words(seeds).T
-        inc_hi = (w[2] << _U[1]) | (w[3] >> _U[63])
-        inc_lo = (w[3] << _U[1]) | _U[1]
-        hi, lo = _add128(inc_hi, inc_lo, w[0], w[1])  # the first step from state 0 gives inc
-        hi, lo = _pcg_step(*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> _U[58]
-        x = (x >> rot) | (x << ((_U[64] - rot) & _U[63]))
-        parts.append((x >> _U[11]).astype(np.float64) * 2.0**-53)
-    return np.concatenate(parts)
+    bit: one draw of each lane of `replication_batches`."""
+    return np.concatenate([np.empty(0), *(batch.random(1) for batch in replication_batches(base_seed, n))])
 
 
 def poisson_count(rng: np.random.Generator, mean: float) -> int:

@@ -157,8 +157,7 @@ def occupation_test(c: float, n_sites: int, n_reps: int, seed: int) -> TestRepor
         raise ValueError(f"need positive site and replication counts, got {n_sites} and {n_reps}")
     if n_sites * n_reps < 10_000:
         raise ValueError("need n_sites * n_reps >= 10000")
-    sites = tuple((float(i),) for i in range(n_sites))
-    rho = DiscreteIntensity(sites, c)
+    rho = DiscreteIntensity(np.arange(n_sites, dtype=float)[:, None], c)
     window = Window((-1.0,), (float(n_sites),))
     occupied = 0
     for rng in replication_rngs(seed, n_reps):

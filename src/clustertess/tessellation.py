@@ -24,6 +24,7 @@ from .geometry import (
     facet_planes,
 )
 from .clusterprops import ClusterConfiguration
+from .pointproc import _blocks, _ranges
 from .randomness import make_rng
 from .stats import SIGMA_BAND
 
@@ -356,24 +357,6 @@ def _reach(pts, centre, depth, slack, size) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         reach = 2.0 * (slack.max(axis=1) + 2.0 * delta) * radius / inner + delta
     return np.where((inner >= 4.0 * delta) & (reach < np.inf), reach, np.inf)
-
-
-def _blocks(counts: np.ndarray, cap: int):
-    """Consecutive slices of `counts` whose sums stay within cap; a
-    single count above cap forms a block of its own."""
-    ends = np.cumsum(counts)
-    start = 0
-    while start < len(counts):
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + cap, side="right")))
-        yield slice(start, stop)
-        start = stop
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + n) over (s, n) in zip(starts, counts)."""
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return offsets + np.repeat(starts, counts)
 
 
 def build_report(cfg: ClusterConfiguration, n_samples: int = 2000, seed: int = 0) -> TessellationReport:

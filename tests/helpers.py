@@ -25,6 +25,14 @@ bit; and `voronoi_cells_loop`, one Python loop over the cells, checks
 the array pass of `_voronoi_cells` bit for bit; and
 `lattice_box_exhaustive`, every (u, v) of a generous rectangle tested
 through `LatticeIndex.embed`, checks the array lattice enumeration.
+
+The sampling layer's array passes have their loop or full-sort
+versions here: `canonical_atoms_lexsort`, one lexsort keyed by
+(replication, coordinates), checks the x-ordered `canonical_atoms`;
+`barycentre_shift_kdtree`, one nearest-site kd-tree query per point,
+checks the x sweep of `barycentre_shift`; and
+`poisson_replications_loop`, one generator a replication, checks the
+PCG64 lanes of `poisson_homogeneous_replications`, all bit for bit.
 """
 
 import itertools
@@ -46,11 +54,14 @@ from clustertess import (
     EPS_GEOM,
     LatticeIndex,
     UnsupportedDimension,
+    PointConfiguration,
     is_discrete_polytope,
     make_rng,
+    mix_seed,
 )
 from clustertess.clusterprops import _REACH, _REACH_FLOOR, _delone_table
 from clustertess.geometry import SINGULAR_DET, FaceRelation, circumballs, facet_planes
+from clustertess.pointproc import poisson_homogeneous_atoms
 
 
 class BallSide(Enum):
@@ -677,3 +688,58 @@ def lattice_box_exhaustive(low, high):
             if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
                 out.append((u, v))
     return out
+
+
+def canonical_atoms_lexsort(points, multiplicities, window, sizes=None):
+    """`canonical_atoms` with one lexsort keyed by (replication,
+    coordinates) over all rows, and the same checks and messages."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        pts = pts.reshape(0, window.dimension)
+    if pts.ndim != 2 or pts.shape[1] != window.dimension:
+        raise ValueError("points must be an (n, d) array matching the window dimension")
+    if multiplicities is None:
+        mult = np.ones(len(pts), dtype=np.int64)
+    else:
+        mult = np.asarray(multiplicities, dtype=np.int64)
+        if mult.shape != (len(pts),) or (len(mult) and mult.min() < 1):
+            raise ValueError("multiplicities must be positive, one per point")
+    if len(pts) and not ((pts >= window._low) & (pts <= window._high)).all():
+        raise ValueError("all points must lie inside the window")
+    rep = np.repeat(np.arange(len(sizes)), sizes) if sizes is not None else np.zeros(len(pts), dtype=np.int64)
+    order = np.lexsort((*pts.T[::-1], rep))
+    pts, mult, rep = pts[order], mult[order], rep[order]
+    if ((pts[1:] == pts[:-1]).all(axis=1) & (rep[1:] == rep[:-1])).any():
+        raise ValueError("points must be pairwise distinct")
+    return pts, mult
+
+
+def barycentre_shift_kdtree(eta, sites, epsilon):
+    """`barycentre_shift` on sites whose epsilon-balls are disjoint, with
+    a kd-tree query of each point's nearest site within epsilon (a hair
+    more), summed into the sites in ascending point order."""
+    from scipy.spatial import cKDTree
+
+    site_arr = np.atleast_2d(np.asarray(sites, dtype=float))
+    out = site_arr.copy()
+    if eta.n_atoms:
+        dist, idx = cKDTree(site_arr).query(eta.points, k=1, distance_upper_bound=epsilon * (1.0 + 1e-9))
+        near = dist < epsilon
+        weights = eta.multiplicities[near].astype(float)
+        sums = np.zeros_like(site_arr)
+        np.add.at(sums, idx[near], eta.points[near] * weights[:, None])
+        totals = np.zeros(len(site_arr))
+        np.add.at(totals, idx[near], weights)
+        hit = totals > 0
+        out[hit] = sums[hit] / totals[hit, None]
+    return PointConfiguration(out, None, eta.window)
+
+
+def poisson_replications_loop(lam, window, base_seed, n):
+    """`poisson_homogeneous_replications` with one generator a
+    replication, make_rng(mix_seed(base_seed, i)), drawn by
+    `poisson_homogeneous_atoms` and stacked."""
+    draws = [poisson_homogeneous_atoms(lam, window, make_rng(mix_seed(base_seed, i))) for i in range(n)]
+    points = np.concatenate([np.zeros((0, window.dimension)), *(p for p, _ in draws)])
+    mult = np.concatenate([np.zeros(0, dtype=np.int64), *(m for _, m in draws)])
+    return points, mult, np.array([len(m) for _, m in draws], dtype=np.int64)

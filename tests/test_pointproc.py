@@ -31,10 +31,15 @@ from clustertess import (
     support,
 )
 
-from clustertess.pointproc import canonical_atoms
-from clustertess.randomness import _BATCH, _seed_words
+from clustertess.pointproc import canonical_atoms, poisson_homogeneous_replications
+from clustertess.randomness import _BATCH, INVERSION_CUTOFF, _seed_words, replication_batches
 
-from helpers import two_sample_chi_square
+from helpers import (
+    barycentre_shift_kdtree,
+    canonical_atoms_lexsort,
+    poisson_replications_loop,
+    two_sample_chi_square,
+)
 
 UNIT_SQUARE = Window((0.0, 0.0), (1.0, 1.0))
 
@@ -75,12 +80,74 @@ def test_replication_uniforms_match_make_rng(base, n):
     assert uniforms.tolist() == [make_rng(mix_seed(base, i)).random() for i in range(n)]
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    base=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 4),
+    counts=st.lists(st.integers(0, 40), max_size=30),
+)
+@example(base=0, first=1, counts=[0] * 5)
+@example(base=2**64 - 1, first=0, counts=[3, 0, 41, 1])
+@example(base=7, first=2, counts=[1] * (_BATCH + 2))  # the second batch starts at replication _BATCH
+def test_replication_streams_match_make_rng(base, first, counts):
+    # `first` draws from every lane, then a count of its own from each
+    n = len(counts)
+    head, rest = [np.empty(0)], [np.empty(0)]
+    for batch, start in zip(replication_batches(base, n), range(0, n, _BATCH)):
+        head.append(batch.random(first))
+        rest.append(batch.random(counts[start : start + _BATCH]))
+    head, rest = np.concatenate(head).reshape(n, first), np.concatenate(rest)
+    assert len(rest) == sum(counts)
+    at = 0
+    for i, count in enumerate(counts):
+        rng = make_rng(mix_seed(base, i))
+        assert head[i].tolist() == rng.random(first).tolist()
+        assert rest[at : at + count].tolist() == rng.random(count).tolist()
+        at += count
+
+
+@pytest.mark.parametrize(
+    "lam, low, high, margin, n",
+    [
+        (5.0, (0.0, 0.0), (1.0, 1.0), 0.0, 300),
+        (INVERSION_CUTOFF, (0.0, 0.0), (1.0, 1.0), 0.0, 60),  # the largest mean inversion draws
+        (INVERSION_CUTOFF * (1.0 - 1e-12), (0.0, 0.0), (1.0, 1.0), 0.1, 60),
+        (np.nextafter(INVERSION_CUTOFF, math.inf), (0.0, 0.0), (1.0, 1.0), 0.0, 60),  # PTRS
+        (3.0, (-1.0,), (2.0,), 0.5, _BATCH + 3),  # the second batch starts at replication _BATCH
+        (2.0, (0.0, -1.0, 5.0), (1.0, 1.0, 7.5), 0.2, 200),
+        (0.01, (0.0, 0.0), (1.0, 1.0), 0.0, 100),  # mostly empty replications
+        (1e-300, (0.0, 0.0), (1e-300, 1.0), 0.0, 5),  # the mean underflows to 0
+        (5.0, (0.0, 0.0), (1.0, 1.0), 0.0, 0),
+        (-1.0, (0.0, 0.0), (1.0, 1.0), 0.0, 0),  # no replication, no draw, no error
+    ],
+)
+def test_array_sample_matches_one_generator_a_replication(lam, low, high, margin, n):
+    window = Window(low, high, margin)
+    got = poisson_homogeneous_replications(lam, window, 11, n)
+    expected = poisson_replications_loop(lam, window, 11, n)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_array_sample_errors_match_one_generator_a_replication():
+    for lam in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError) as alone:
+            poisson_replications_loop(lam, UNIT_SQUARE, 3, 2)
+        with pytest.raises(ValueError) as stacked:
+            poisson_homogeneous_replications(lam, UNIT_SQUARE, 3, 2)
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match="replication count must be nonnegative, got -3"):
+        poisson_homogeneous_replications(5.0, UNIT_SQUARE, 3, -3)
+
+
 def test_replication_counts_must_be_nonnegative():
     # refused when called, before any generator is drawn
     with pytest.raises(ValueError, match="nonnegative"):
         replication_rngs(3, -3)
     with pytest.raises(ValueError, match="nonnegative"):
         replication_uniforms(3, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        replication_batches(3, -2)
     assert list(replication_rngs(3, 0)) == [] and replication_uniforms(3, 0).shape == (0,)
 
 
@@ -313,6 +380,55 @@ def test_stacked_canonical_atoms_refuse_what_one_configuration_refuses():
     assert pts.tolist() == [[0.1, 0.9], [0.5, 0.5], [0.5, 0.5]] and mult.tolist() == [1, 1, 1]
 
 
+def _grid(d, values):
+    """Every point of the d-fold product of `values`, in index order."""
+    return np.stack(np.meshgrid(*[values] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+@st.composite
+def tied_configurations(draw):
+    """(window, points, multiplicities, sizes): points of a window of
+    dimension 1 to 3 drawn from exact grid values and signed zeros, so
+    that first coordinates tie within and across replications and points
+    repeat, maybe followed by a shuffled 5^d grid as one more
+    replication; sizes None or a split into replications."""
+    d = draw(st.integers(1, 3))
+    window = Window((0.0,) * d, (1.0,) * d)
+    value = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 1.0 / 3.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    points = draw(st.lists(st.tuples(*[value] * d), max_size=30))
+    sizes = None
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=5)))
+        sizes = list(np.diff([0, *cuts, len(points)]))
+    points = np.array(points, dtype=float).reshape(-1, d)
+    if draw(st.booleans()):
+        grid = _grid(d, np.linspace(0.0, 1.0, 5))[draw(st.permutations(range(5**d)))]
+        points = np.concatenate([points, grid])
+        sizes = None if sizes is None else [*sizes, len(grid)]
+    mult = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    return window, points, np.array(mult, dtype=np.int64), sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_configurations())
+@example((Window((0.0,), (1.0,)), np.array([[0.5], [0.25], [0.5]]), np.ones(3, np.int64), None))
+@example((Window((0.0,), (1.0,)), np.array([[0.5], [0.25], [0.5]]), np.ones(3, np.int64), [2, 1]))
+@example((Window((0.0, 0.0), (1.0, 1.0)), np.array([[-0.0, 0.5], [0.0, 0.25], [0.0, -0.0]]), np.arange(1, 4), None))
+@example((Window((0.0, 0.0), (1.0, 1.0)), np.array([[0.0, -0.0], [0.0, 0.0]]), np.ones(2, np.int64), None))
+def test_x_ordered_canonical_atoms_match_the_lexsort(case):
+    window, points, mult, sizes = case
+    try:
+        expected = canonical_atoms_lexsort(points, mult, window, sizes)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            canonical_atoms(points, mult, window, sizes)
+        assert str(raised.value) == str(exc)
+        return
+    got = canonical_atoms(points, mult, window, sizes)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_window_derived_arrays_stay_out_of_identity():
     a = Window((0, -1), (2, 3), 0.5)
     b = Window((0.0, -1.0), (2.0, 3.0), 0.5)
@@ -364,9 +480,21 @@ def test_discrete_intensity_site_array_stays_out_of_identity():
     b = DiscreteIntensity(((0.0, 1.0), (2.0, 3.0)), 1.0)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "DiscreteIntensity(sites=((0.0, 1.0), (2.0, 3.0)), c=1.0)"
-    assert a._site_array.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    assert a.sites.tolist() == [[0.0, 1.0], [2.0, 3.0]]
     with pytest.raises(ValueError):
-        a._site_array[0, 0] = 5.0
+        a.sites[0, 0] = 5.0
+
+
+def test_discrete_intensity_identity_reads_the_site_array():
+    given = np.array([[0.0, 1.0], [2.0, 3.0]])
+    a = DiscreteIntensity(given, 1.0)
+    assert a.sites is not given and given.flags.writeable and not a.sites.flags.writeable
+    assert a == DiscreteIntensity([[0, 1], [2, 3]], 1) and hash(a) == hash(DiscreteIntensity([[0, 1], [2, 3]], 1))
+    assert a != DiscreteIntensity(given, 2.0)
+    # equal bytes in another shape, or a zero of another sign, differ
+    assert DiscreteIntensity([[0.0, 1.0]], 1.0) != DiscreteIntensity([[0.0], [1.0]], 1.0)
+    assert DiscreteIntensity([[-0.0, 1.0]], 1.0) != DiscreteIntensity([[0.0, 1.0]], 1.0)
+    assert repr(DiscreteIntensity([[1.5]], 0.5)) == "DiscreteIntensity(sites=((1.5,),), c=0.5)"
 
 
 def test_barycentre_shift_cases():
@@ -435,6 +563,37 @@ def test_barycentre_shift_matches_unbounded_nearest_site_query():
     expected = sites.copy()
     expected[totals > 0] = sums[totals > 0] / totals[totals > 0, None]
     assert barycentre_shift(eta, sites, epsilon) == PointConfiguration(expected, None, window)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("epsilon", [0.25, 0.3])
+def test_barycentre_sweep_matches_the_kdtree_query(d, epsilon):
+    # integer sites, many sharing their first coordinate; points at
+    # epsilon, one ulp either side of it and inside, along the axes and
+    # in random directions, with multiplicities up to 3
+    window = Window((-5.0,) * d, (5.0,) * d)
+    sites = _grid(d, np.arange(-3.0, 4.0))
+    rng = np.random.default_rng(d)
+    radii = np.array([epsilon, np.nextafter(epsilon, 0.0), np.nextafter(epsilon, 1.0), epsilon * (1.0 - 1e-16), 0.1])
+    directions = np.concatenate([np.eye(d), -np.eye(d), rng.normal(size=(60, d))])
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    offsets = (directions[:, None, :] * radii[None, :, None]).reshape(-1, d)
+    points = sites[rng.integers(0, len(sites), len(offsets))] + offsets
+    points = np.unique(np.concatenate([points, sites[:3] + radii[:3, None] * np.eye(d)[0]]), axis=0)
+    eta = PointConfiguration(points, rng.integers(1, 4, len(points)), window)
+    got = barycentre_shift(eta, sites, epsilon)
+    expected = barycentre_shift_kdtree(eta, sites, epsilon)
+    assert got.points.tobytes() == expected.points.tobytes()
+    # and on a Poisson draw, with and without points
+    for lam in (0.0, 3.0):
+        eta = sample_poisson_homogeneous(lam, window, 5) if lam else PointConfiguration(np.empty((0, d)), None, window)
+        assert barycentre_shift(eta, sites, epsilon).points.tobytes() == barycentre_shift_kdtree(eta, sites, epsilon).points.tobytes()
+
+
+def test_barycentre_shift_of_no_sites_is_empty():
+    eta = sample_poisson_homogeneous(5.0, UNIT_SQUARE, 3)
+    assert barycentre_shift(eta, np.empty((0, 2)), 0.1) == PointConfiguration(np.empty((0, 2)), None, UNIT_SQUARE)
+    assert barycentre_shift(eta, [], 0.1).n_atoms == 0
 
 
 def test_min_pairwise_distance():

@@ -17,9 +17,10 @@ from clustertess import (
     Window,
     delone_property,
     extract_clusters,
+    lattice_sites_in_window,
     sample_poisson_homogeneous,
 )
-from clustertess.cli import main
+from clustertess.cli import _silver_sites, main
 from clustertess.pointproc import canonical_atoms
 from clustertess.records import (
     _fmt_float,
@@ -180,6 +181,31 @@ def test_cli_sample_reproducible(tmp_path):
     assert clusters is None and report is None
     direct = sample_poisson_homogeneous(5.0, Window((0, 0), (1, 1)), __import__("clustertess").mix_seed(1, 0))
     assert eta == direct
+
+
+def test_cli_sample_negative_lambda_errors_only_when_it_draws(tmp_path, capsys):
+    # no replication draws nothing, so nothing refuses the intensity
+    args = ("sample", "--process", "poisson", "--lambda", "-1", "--window", "0,0,1,1", "--seed", "9")
+    capsys.readouterr()
+    assert run_cli(*args, "--replications", "0") == 0
+    assert capsys.readouterr() == ("", "")
+    assert run_cli(*args, "--replications", "2") == 1
+    assert capsys.readouterr().err == "clustertess: config error: intensity must be positive, got -1.0\n"
+
+
+@pytest.mark.parametrize("low, high", [((-3.0, -2.0), (5.0, 5.0)), ((0.0, 0.0), (1.0, 1.0)), ((0.2, 0.2), (0.9, 0.7))])
+def test_silver_sites_match_lattice_index_embedding(low, high):
+    window = Window(low, high)
+    expected = np.array([e.embed() for e in lattice_sites_in_window(window)], dtype=float).reshape(-1, 2)
+    assert _silver_sites(window).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("process", [("poisson_discrete", "--c", "3"), ("barycentre", "--lambda", "50", "--epsilon", "0.1")])
+def test_cli_sample_without_lattice_sites_writes_empty_configurations(tmp_path, process):
+    out = tmp_path / "empty.ndjson"
+    assert run_cli("sample", "--process", *process, "--window", "0.2,0.2,0.9,0.7", "--replications", "2",
+                   "--out", str(out)) == 0
+    assert [record_to_objects(r)[0].n_atoms for r in read_records_file(str(out))] == [0, 0]
 
 
 def test_cli_pipeline_reproducible(tmp_path):
